@@ -1,8 +1,6 @@
 //! Batch-scan throughput: the serial per-transaction loop vs the
-//! [`leishen::ScanEngine`] (shared tag cache + wave-scheduled
-//! work-stealing workers) over the wild corpus, swept across worker
-//! counts, with a naive fixed-chunking engine timed alongside for
-//! comparison.
+//! [`leishen::ScanEngine`] (shared tag cache + chunked worker pool) over
+//! the wild corpus, swept across worker counts.
 //!
 //! ```sh
 //! cargo run -p leishen-bench --release --bin throughput -- \
@@ -21,10 +19,10 @@
 //! recorded in the JSON so a reader can judge how hardened the
 //! measurement was.
 
-use leishen::{DetectorConfig, LeiShen, RecordingSink, ScanEngine, TagCache};
+use leishen::{DetectorConfig, TagCache};
 use leishen_bench::{
-    cli_f64, cli_str, cli_u64, corpus_records, measure_engine_throughput, measure_latencies,
-    measure_latencies_cached, measure_serial_throughput, percentile, print_table, sort_samples,
+    cli_f64, cli_str, cli_u64, measure_latencies, measure_latencies_cached,
+    measure_serial_throughput, measure_throughput, percentile, print_table, sort_samples,
     wild_world, ThroughputRun,
 };
 
@@ -40,24 +38,18 @@ fn keep_best(best: &mut Option<ThroughputRun>, run: ThroughputRun) {
     }
 }
 
-/// One engine configuration under measurement: a worker count in either
-/// scheduling mode, with its own steady-state cache and running best.
+/// One engine configuration under measurement: a worker count, with its
+/// own steady-state cache and running best.
 struct Config {
     workers: usize,
-    scheduled: bool,
-    engine: ScanEngine,
     cache: TagCache,
     best: Option<ThroughputRun>,
 }
 
 impl Config {
-    fn new(workers: usize, scheduled: bool) -> Config {
-        let engine = ScanEngine::new(workers);
-        let engine = if scheduled { engine } else { engine.with_naive_chunking() };
+    fn new(workers: usize) -> Config {
         Config {
             workers,
-            scheduled,
-            engine,
             cache: TagCache::new(),
             best: None,
         }
@@ -93,12 +85,8 @@ fn main() {
         "batch-scan throughput — {n} wild flash-loan transactions (best of {trials} after {warmup} warm-up)\n"
     );
 
-    // Every worker count in both scheduling modes, each with its own
-    // steady-state cache.
-    let mut configs: Vec<Config> = worker_counts
-        .iter()
-        .flat_map(|&w| [Config::new(w, true), Config::new(w, false)])
-        .collect();
+    // Every worker count, each with its own steady-state cache.
+    let mut configs: Vec<Config> = worker_counts.iter().map(|&w| Config::new(w)).collect();
 
     // Warm-up: untimed passes down each path, so cold tag-cache misses,
     // page faults, lazy allocator arenas, and branch-predictor cold
@@ -106,8 +94,12 @@ fn main() {
     for _ in 0..warmup {
         std::hint::black_box(measure_serial_throughput(&world, txs(), config()));
         for c in &configs {
-            std::hint::black_box(measure_engine_throughput(
-                &world, txs(), config(), &c.engine, c.workers, &c.cache,
+            std::hint::black_box(measure_throughput(
+                &world,
+                txs(),
+                config(),
+                c.workers,
+                &c.cache,
             ));
         }
     }
@@ -122,8 +114,7 @@ fn main() {
             measure_serial_throughput(&world, txs(), config()),
         );
         for c in &mut configs {
-            let run =
-                measure_engine_throughput(&world, txs(), config(), &c.engine, c.workers, &c.cache);
+            let run = measure_throughput(&world, txs(), config(), c.workers, &c.cache);
             keep_best(&mut c.best, run);
         }
     }
@@ -150,13 +141,12 @@ fn main() {
     let mut rows = vec![row("serial loop", serial.tx_per_sec, 1.0, Some((s50, s95, s99)))];
     for c in &configs {
         let run = c.best.expect("trials >= 1");
-        let pct = (c.workers == 1 && c.scheduled).then_some((c50, c95, c99));
+        let pct = (c.workers == 1).then_some((c50, c95, c99));
         rows.push(row(
             &format!(
-                "engine, {} worker{}{}",
+                "engine, {} worker{}",
                 c.workers,
-                if c.workers == 1 { "" } else { "s" },
-                if c.scheduled { "" } else { " (naive chunks)" }
+                if c.workers == 1 { "" } else { "s" }
             ),
             run.tx_per_sec,
             run.tx_per_sec / serial.tx_per_sec,
@@ -168,14 +158,11 @@ fn main() {
         &rows,
     );
 
-    let scheduled_tps = |w: usize| {
-        configs
-            .iter()
-            .find(|c| c.scheduled && c.workers == w)
-            .and_then(|c| c.best)
-            .map(|r| r.tx_per_sec)
-    };
-    let speedup_at_4 = scheduled_tps(4).map_or(0.0, |tps| tps / serial.tx_per_sec);
+    let speedup_at_4 = configs
+        .iter()
+        .find(|c| c.workers == 4)
+        .and_then(|c| c.best)
+        .map_or(0.0, |r| r.tx_per_sec / serial.tx_per_sec);
     if worker_counts.contains(&4) {
         println!("\nspeedup at 4 workers: {speedup_at_4:.2}× (target ≥ 2×)");
     } else {
@@ -186,9 +173,6 @@ fn main() {
     // trials, nearly every tag lookup should hit, and on a lightly
     // contended scan the shards should almost never make a worker wait.
     for c in &configs {
-        if !c.scheduled {
-            continue;
-        }
         println!(
             "tag cache at {} worker{}: {:.1}% hit rate ({} hits / {} misses, {} entries, {} lock waits, {} snapshot rebuilds)",
             c.workers,
@@ -202,58 +186,23 @@ fn main() {
         );
     }
 
-    // One untimed instrumented scan through the threaded path (the
-    // hardware cap lifted, so it exercises real multi-worker scheduling
-    // even on small CI boxes) to capture the wave plan the scheduler
-    // actually built for this corpus.
-    let sched_probe_workers = worker_counts.iter().copied().max().unwrap_or(1).max(2);
-    let sched = {
-        let labels = world.detector_labels();
-        let view = world.view(&labels);
-        let detector = LeiShen::new(config());
-        let records = corpus_records(&world, txs());
-        let engine = ScanEngine::new(sched_probe_workers).allow_oversubscription();
-        let sink = RecordingSink::new();
-        std::hint::black_box(engine.scan_metered(&detector, &records, &view, &TagCache::new(), &sink));
-        sink.scheduler_stats()
-    };
-    let sched_json = match sched {
-        Some(s) => {
-            println!(
-                "wave plan at {sched_probe_workers} workers: {} txs → {} clusters (largest {}), {} waves, {} chunks (adaptive target {} txs), {} steal retries",
-                s.transactions, s.clusters, s.largest_cluster, s.waves, s.chunks, s.chunk_size, s.steal_retries,
-            );
+    let sweep = configs
+        .iter()
+        .map(|c| {
+            let r = c.best.expect("trials >= 1");
             format!(
-                "{{ \"workers\": {sched_probe_workers}, \"transactions\": {}, \"clusters\": {}, \"largest_cluster\": {}, \"waves\": {}, \"chunks\": {}, \"chunk_size\": {}, \"steal_retries\": {} }}",
-                s.transactions, s.clusters, s.largest_cluster, s.waves, s.chunks, s.chunk_size, s.steal_retries,
+                "    {{ \"workers\": {}, \"tx_per_sec\": {:.1}, \"speedup\": {:.3}, \"cache_hit_rate\": {:.4} }}",
+                c.workers,
+                r.tx_per_sec,
+                r.tx_per_sec / serial.tx_per_sec,
+                c.cache.hit_rate()
             )
-        }
-        None => "null".to_string(),
-    };
-
-    let mode_rows = |scheduled: bool| {
-        configs
-            .iter()
-            .filter(|c| c.scheduled == scheduled)
-            .map(|c| {
-                let r = c.best.expect("trials >= 1");
-                format!(
-                    "    {{ \"workers\": {}, \"mode\": \"{}\", \"tx_per_sec\": {:.1}, \"speedup\": {:.3}, \"cache_hit_rate\": {:.4} }}",
-                    c.workers,
-                    if scheduled { "scheduled" } else { "naive" },
-                    r.tx_per_sec,
-                    r.tx_per_sec / serial.tx_per_sec,
-                    c.cache.hit_rate()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n")
-    };
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
     let json = format!(
-        "{{\n  \"bench\": \"scan\",\n  \"corpus\": {{ \"seed\": {seed}, \"scale\": {scale}, \"transactions\": {n} }},\n  \"trials\": {trials},\n  \"warmup\": {warmup},\n  \"serial\": {{ \"tx_per_sec\": {:.1}, \"p50_us\": {s50:.2}, \"p95_us\": {s95:.2}, \"p99_us\": {s99:.2} }},\n  \"scan_hot_path\": {{ \"p50_us\": {c50:.2}, \"p95_us\": {c95:.2}, \"p99_us\": {c99:.2} }},\n  \"parallel\": [\n{}\n  ],\n  \"naive\": [\n{}\n  ],\n  \"scheduler\": {sched_json},\n  \"speedup_at_4_workers\": {speedup_at_4:.3}\n}}\n",
+        "{{\n  \"bench\": \"scan\",\n  \"corpus\": {{ \"seed\": {seed}, \"scale\": {scale}, \"transactions\": {n} }},\n  \"trials\": {trials},\n  \"warmup\": {warmup},\n  \"serial\": {{ \"tx_per_sec\": {:.1}, \"p50_us\": {s50:.2}, \"p95_us\": {s95:.2}, \"p99_us\": {s99:.2} }},\n  \"scan_hot_path\": {{ \"p50_us\": {c50:.2}, \"p95_us\": {c95:.2}, \"p99_us\": {c99:.2} }},\n  \"parallel\": [\n{sweep}\n  ],\n  \"speedup_at_4_workers\": {speedup_at_4:.3}\n}}\n",
         serial.tx_per_sec,
-        mode_rows(true),
-        mode_rows(false),
     );
     std::fs::write("BENCH_scan.json", &json).expect("write BENCH_scan.json");
     println!("wrote BENCH_scan.json");

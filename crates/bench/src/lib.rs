@@ -235,27 +235,11 @@ pub fn measure_throughput(
     workers: usize,
     cache: &TagCache,
 ) -> ThroughputRun {
-    let engine = ScanEngine::new(workers);
-    measure_engine_throughput(world, txs, config, &engine, workers, cache)
-}
-
-/// [`measure_throughput`] with a caller-built engine, so sweeps can time
-/// configuration variants (`with_naive_chunking`,
-/// `allow_oversubscription`, chunk-size hints) against one another.
-/// `workers` here is only the label recorded in the run — the engine's
-/// own worker count governs the scan.
-pub fn measure_engine_throughput(
-    world: &World,
-    txs: impl Iterator<Item = ethsim::TxId>,
-    config: DetectorConfig,
-    engine: &ScanEngine,
-    workers: usize,
-    cache: &TagCache,
-) -> ThroughputRun {
     let labels = world.detector_labels();
     let view = world.view(&labels);
     let detector = LeiShen::new(config);
     let records = corpus_records(world, txs);
+    let engine = ScanEngine::new(workers);
     let start = Instant::now();
     let analyses = engine.scan_with_cache(&detector, &records, &view, cache);
     let secs = start.elapsed().as_secs_f64();

@@ -108,7 +108,7 @@ pub struct DiffOracle {
 impl DiffOracle {
     /// Builds an oracle around a detector configuration. The parallel
     /// engine uses 4 workers with a small chunk size (oversubscription
-    /// allowed) so work-stealing interleavings actually vary.
+    /// allowed) so worker interleavings actually vary.
     pub fn new(config: DetectorConfig) -> Self {
         DiffOracle {
             detector: LeiShen::new(config),

@@ -89,23 +89,21 @@ pub use resilience::{
     IoFaultPlan, PlannedFault, Quarantine, ResilienceConfig, ResilientScan,
 };
 pub use scan::{LocalTagCache, ScanEngine, ScanStats, ShardStat, TagCache};
-pub use sched::{access_set, SchedStats, WavePlan};
+pub use sched::WavePlan;
 pub use simplify::{
     simplify, simplify_into, simplify_into_observed, DropRule, SimplifyAction, SimplifyStats,
 };
 pub use store::{
     ArmedIoFault, Checkpoint, DirMedia, DurableBlock, FaultMedia, FsyncPolicy, JournalConfig,
-    JournalRecovery, LogBackend, LogConfig, LogMetrics, Media, MemMedia, MemoryBackend,
-    RecoveryReport, SegmentLog, StorageBackend, StoreError, StoreMetrics, VerdictJournal,
-    VerdictRecord, WriteTotals,
+    JournalRecovery, LogConfig, LogMetrics, Media, MemMedia, RecoveryReport, SegmentLog,
+    StoreError, VerdictJournal, VerdictRecord, WriteTotals,
 };
 pub use stream::{
     Block, BlockReport, BoundedQueue, DurableReport, QueueStats, StreamConfig, StreamProducer,
     StreamReport, StreamService,
 };
 pub use tagging::{
-    shares_creation_ancestry, tag_transfers, tag_transfers_with, tag_transfers_with_into, Tag,
-    TagMap, TaggedTransfer,
+    tag_transfers, tag_transfers_with, tag_transfers_with_into, Tag, TagMap, TaggedTransfer,
 };
 pub use telemetry::{
     MetricsSink, NoopSink, RecordingSink, Stage, StageSummary, TxCounters, TxCountersTotal,

@@ -242,7 +242,7 @@ impl ResilientScan {
 
     /// The input positions of the quarantined transactions, in input
     /// order. Useful for asserting that two scans of the same corpus —
-    /// serial and wave-scheduled, say — sidelined exactly the same
+    /// serial and chunked multi-worker, say — sidelined exactly the same
     /// records.
     pub fn quarantined_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.quarantines().map(|q| q.index)
@@ -325,8 +325,7 @@ impl InputFault {
         InputFault::DanglingLog,
     ];
 
-    /// Stable snake_case name (used in `BENCH_chaos.json` and
-    /// `LEISHEN_CHAOS_FAULTS`).
+    /// Stable snake_case name (used in `BENCH_chaos.json`).
     pub fn name(self) -> &'static str {
         match self {
             InputFault::TruncatedJournal => "truncated_journal",
@@ -335,11 +334,6 @@ impl InputFault {
             InputFault::OverflowAmount => "overflow_amount",
             InputFault::DanglingLog => "dangling_log",
         }
-    }
-
-    /// Inverse of [`InputFault::name`].
-    pub fn from_name(name: &str) -> Option<InputFault> {
-        InputFault::ALL.into_iter().find(|f| f.name() == name)
     }
 }
 
@@ -501,42 +495,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Builds a plan from the environment, for wiring chaos into any
-    /// existing binary without new flags:
-    ///
-    /// * `LEISHEN_CHAOS=1` enables (unset/`0` returns `None`);
-    /// * `LEISHEN_CHAOS_SEED` — campaign seed (default 42);
-    /// * `LEISHEN_CHAOS_RATE_PERMILLE` — fault rate (default 100, i.e.
-    ///   10%);
-    /// * `LEISHEN_CHAOS_FAULTS` — comma-separated [`InputFault::name`]s
-    ///   restricting the input-fault menu (default: all; unknown names
-    ///   are ignored).
-    pub fn from_env() -> Option<FaultPlan> {
-        let enabled = std::env::var("LEISHEN_CHAOS").is_ok_and(|v| v != "0" && !v.is_empty());
-        if !enabled {
-            return None;
-        }
-        let seed = std::env::var("LEISHEN_CHAOS_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(42);
-        let rate = std::env::var("LEISHEN_CHAOS_RATE_PERMILLE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(100);
-        let mut plan = FaultPlan::new(seed, rate);
-        if let Ok(list) = std::env::var("LEISHEN_CHAOS_FAULTS") {
-            let picked: Vec<InputFault> = list
-                .split(',')
-                .filter_map(|name| InputFault::from_name(name.trim()))
-                .collect();
-            if !picked.is_empty() {
-                plan.input_faults = picked;
-            }
-        }
-        Some(plan)
-    }
-
     /// The flattened fault menu this plan draws from, in stable order.
     pub fn menu(&self) -> Vec<PlannedFault> {
         let mut menu: Vec<PlannedFault> =
@@ -623,7 +581,7 @@ impl InjectorState {
 /// the wrapped sink.
 ///
 /// The injector keys faults by [`TxId`], so it works identically under
-/// serial and work-stealing parallel scans regardless of which worker
+/// serial and chunked parallel scans regardless of which worker
 /// picks the transaction up. Each fault fires exactly once (see
 /// [`FaultInjector::panics_fired`]); a retried analysis therefore
 /// completes, modelling a transient fault.
@@ -702,10 +660,6 @@ impl<S: MetricsSink> MetricsSink for FaultInjector<S> {
     fn quarantined(&self) {
         self.inner.quarantined();
     }
-
-    fn scheduled(&self, stats: &crate::sched::SchedStats) {
-        self.inner.scheduled(stats);
-    }
 }
 
 /// One worker's front of a [`FaultInjector`]: injection state is shared
@@ -748,10 +702,6 @@ impl<F: MetricsSink> MetricsSink for FaultFront<'_, F> {
     fn quarantined(&self) {
         self.inner.quarantined();
     }
-
-    fn scheduled(&self, stats: &crate::sched::SchedStats) {
-        self.inner.scheduled(stats);
-    }
 }
 
 #[cfg(test)]
@@ -792,34 +742,6 @@ mod tests {
         none.delay_stages.clear();
         assert!(none.menu().is_empty());
         assert!(none.assign(16).iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn input_fault_names_round_trip() {
-        for fault in InputFault::ALL {
-            assert_eq!(InputFault::from_name(fault.name()), Some(fault));
-        }
-        assert_eq!(InputFault::from_name("nope"), None);
-    }
-
-    #[test]
-    fn from_env_reads_the_chaos_variables() {
-        // Untouched environment: disabled.
-        std::env::remove_var("LEISHEN_CHAOS");
-        assert_eq!(FaultPlan::from_env(), None);
-
-        std::env::set_var("LEISHEN_CHAOS", "1");
-        std::env::set_var("LEISHEN_CHAOS_SEED", "99");
-        std::env::set_var("LEISHEN_CHAOS_RATE_PERMILLE", "333");
-        std::env::set_var("LEISHEN_CHAOS_FAULTS", "seq nonsense,overflow_amount");
-        let plan = FaultPlan::from_env().expect("enabled");
-        assert_eq!(plan.seed, 99);
-        assert_eq!(plan.rate_permille, 333);
-        assert_eq!(plan.input_faults, vec![InputFault::OverflowAmount]);
-        std::env::remove_var("LEISHEN_CHAOS");
-        std::env::remove_var("LEISHEN_CHAOS_SEED");
-        std::env::remove_var("LEISHEN_CHAOS_RATE_PERMILLE");
-        std::env::remove_var("LEISHEN_CHAOS_FAULTS");
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //!   Resolution goes through the cache once per distinct address *per
 //!   corpus* instead of per transaction. The cache is only valid for one
 //!   `(labels, creations)` context; build a fresh one per [`ChainView`].
-//! * [`ScanEngine`] — fans a batch of transactions over a work-stealing
-//!   worker pool (crossbeam deque of chunk descriptors), every worker
-//!   sharing one `TagCache`. Results come back in **input order**
-//!   regardless of which worker processed which chunk, so a parallel scan
-//!   is byte-for-byte comparable with a serial loop over the same slice.
+//! * [`ScanEngine`] — cuts a batch into input-order chunks and fans them
+//!   over a worker pool, each worker claiming the next chunk from a
+//!   shared counter and every worker sharing one `TagCache`. Results come
+//!   back in **input order** regardless of which worker processed which
+//!   chunk, so a parallel scan is byte-for-byte comparable with a serial
+//!   loop over the same slice.
 //!
 //! ```
 //! use leishen::{ChainView, DetectorConfig, Labels, LeiShen, ScanEngine};
@@ -34,10 +35,9 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::deque::{Injector, Steal};
 use ethsim::{validate_record, Address, CreationIndex, TxRecord};
 use parking_lot::{Mutex, RwLock};
 
@@ -47,7 +47,6 @@ use crate::resilience::{
     payload_message, stage_of_payload, Fault, Quarantine, ResilienceConfig, ResilientScan,
     Verdict,
 };
-use crate::sched::WavePlan;
 use crate::tagging::{tag_of, Tag};
 use crate::telemetry::{MetricsSink, NoopSink, RecordingSink};
 use crate::trace::{Decision, FlightRecorder, NoopTracer, Reason, TraceBuilder, TraceSink};
@@ -114,9 +113,7 @@ pub struct TagCache {
     // double as the cache's contention profile.
     shard_misses: [AtomicU64; SHARD_COUNT],
     // Lock acquisitions that found the shard already held (the try-lock
-    // fast path failed and the caller had to wait). With conflict-aware
-    // scheduling keeping concurrent workers on disjoint working sets,
-    // this should stay near zero even under contention-heavy corpora.
+    // fast path failed and the caller had to wait).
     shard_lock_waits: [AtomicU64; SHARD_COUNT],
     // Bumped after every insert; `snapshot` is rebuilt only when its
     // recorded generation falls behind this counter.
@@ -143,8 +140,7 @@ pub struct ShardStat {
     /// lock, so this is the shard's share of write contention.
     pub inserts: u64,
     /// Lock acquisitions on the shard that found it already held and had
-    /// to wait (read or write). The scheduler exists to keep this near
-    /// zero: concurrent chunks come from disjoint affinity clusters.
+    /// to wait (read or write).
     pub lock_waits: u64,
 }
 
@@ -426,7 +422,6 @@ pub struct ScanEngine {
     workers: usize,
     chunk_size: usize,
     oversubscribe: bool,
-    scheduled: bool,
 }
 
 impl ScanEngine {
@@ -437,27 +432,16 @@ impl ScanEngine {
             workers: workers.max(1),
             chunk_size: 32,
             oversubscribe: false,
-            scheduled: true,
         }
     }
 
-    /// Overrides how many transactions each stolen work item carries.
-    /// Under the conflict-aware scheduler (the default) this is a
-    /// *ceiling*: the [`WavePlan`] adapts the chunk size down for small
-    /// batches so every worker still gets work. Smaller chunks balance
-    /// better; larger chunks amortize queue traffic. Minimum 1.
+    /// Overrides how many transactions each chunk carries: a
+    /// multi-worker scan cuts the batch into input-order chunks of
+    /// exactly this size (the last may be shorter). Smaller chunks
+    /// balance better; larger chunks amortize the per-chunk claim and
+    /// publish. Minimum 1.
     pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
         self.chunk_size = chunk_size.max(1);
-        self
-    }
-
-    /// Disables the conflict-aware scheduler: the batch is cut into
-    /// fixed-size chunks in input order, the pre-`leishen::sched`
-    /// behavior. Kept so the throughput bench can measure scheduled vs
-    /// naive chunking on an otherwise identical engine; both produce
-    /// identical analyses, in input order.
-    pub fn with_naive_chunking(mut self) -> Self {
-        self.scheduled = false;
         self
     }
 
@@ -674,44 +658,28 @@ impl ScanEngine {
         if workers <= 1 {
             let mut tags = LocalTagCache::new(cache);
             let mut scratch = AnalysisScratch::default();
-            let front = sink.worker_front();
-            let tfront = tracer.worker_front();
-            return txs
-                .iter()
-                .enumerate()
-                .map(|(index, tx)| {
-                    analyze_guarded(
-                        detector, tx, index, view, &mut tags, &mut scratch, &front, &tfront,
-                        policy,
-                    )
-                })
-                .collect();
+            return analyze_run(
+                detector,
+                txs,
+                0,
+                view,
+                &mut tags,
+                &mut scratch,
+                &sink.worker_front(),
+                &tracer.worker_front(),
+                policy,
+            );
         }
 
-        // Plan the batch: conflict-aware waves by default, the legacy
-        // blind fixed-size chunking under `with_naive_chunking`. Either
-        // way the plan's order is a permutation of the input indices and
-        // verdicts scatter back to input positions below, so scheduling
-        // never changes what the scan returns — only which worker
-        // analyzes what, and when.
-        let plan = if self.scheduled {
-            WavePlan::build(txs, view.creations(), workers, self.chunk_size)
-        } else {
-            WavePlan::naive(txs.len(), self.chunk_size)
-        };
-        let workers = workers.min(plan.chunk_count()).max(1);
-
-        // Chunk descriptors go into a shared injector; workers steal
-        // them until it runs dry. Completed chunks are published into
-        // index-keyed slots immediately, so work a worker finished
-        // before dying is never lost with it.
-        let injector: Injector<usize> = Injector::new();
-        for chunk_idx in 0..plan.chunk_count() {
-            injector.push(chunk_idx);
-        }
+        // Input-order chunks of exactly `chunk_size` (the last may be
+        // shorter). Workers claim the next chunk index from one counter
+        // until it runs past the end, and publish each finished chunk
+        // into its slot immediately, so work a worker finished before
+        // dying is never lost with it.
+        let chunks: Vec<&[&TxRecord]> = txs.chunks(self.chunk_size).collect();
+        let next_chunk = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Vec<Verdict>>>> =
-            (0..plan.chunk_count()).map(|_| Mutex::new(None)).collect();
-        let steal_retries = AtomicU64::new(0);
+            chunks.iter().map(|_| Mutex::new(None)).collect();
 
         let scope_result = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -721,42 +689,33 @@ impl ScanEngine {
                         let mut scratch = AnalysisScratch::default();
                         let front = sink.worker_front();
                         let tfront = tracer.worker_front();
+                        // Relaxed suffices: the counter only hands out
+                        // distinct indices; verdicts travel through the
+                        // slot mutexes and the scope join.
                         loop {
-                            match injector.steal() {
-                                Steal::Success(chunk_idx) => {
-                                    let verdicts: Vec<Verdict> = plan
-                                        .chunk_indices(chunk_idx)
-                                        .iter()
-                                        .map(|&input| {
-                                            let input = input as usize;
-                                            analyze_guarded(
-                                                detector,
-                                                txs[input],
-                                                input,
-                                                view,
-                                                &mut tags,
-                                                &mut scratch,
-                                                &front,
-                                                &tfront,
-                                                policy,
-                                            )
-                                        })
-                                        .collect();
-                                    *slots[chunk_idx].lock() = Some(verdicts);
-                                }
-                                Steal::Empty => break,
-                                Steal::Retry => {
-                                    steal_retries.fetch_add(1, Ordering::Relaxed);
-                                    continue;
-                                }
-                            }
+                            let chunk_idx = next_chunk.fetch_add(1, Ordering::Relaxed);
+                            let Some(chunk) = chunks.get(chunk_idx) else {
+                                break;
+                            };
+                            let verdicts = analyze_run(
+                                detector,
+                                chunk,
+                                chunk_idx * self.chunk_size,
+                                view,
+                                &mut tags,
+                                &mut scratch,
+                                &front,
+                                &tfront,
+                                policy,
+                            );
+                            *slots[chunk_idx].lock() = Some(verdicts);
                         }
                     })
                 })
                 .collect();
             // Join every worker, collecting panic payloads instead of
             // propagating the first one — the rest of the pool gets to
-            // finish draining the injector either way.
+            // finish draining the chunks either way.
             let mut panics: Vec<Box<dyn Any + Send>> = Vec::new();
             for handle in handles {
                 if let Err(payload) = handle.join() {
@@ -780,55 +739,69 @@ impl ScanEngine {
             }
         }
 
-        // Scatter reassembly: chunk `i`'s verdicts land at the *input*
-        // positions `plan.chunk_indices(i)` names, so the output is in
-        // input order whatever the wave layout was — and a quarantine's
-        // recorded index is the input index, unchanged by scheduling.
-        let mut out: Vec<Option<Verdict>> = Vec::with_capacity(txs.len());
-        out.resize_with(txs.len(), || None);
+        // Chunks are input-order runs, so concatenating the slots in
+        // chunk order restores input order.
+        let mut out = Vec::with_capacity(txs.len());
         for (chunk_idx, slot) in slots.into_iter().enumerate() {
             match slot.into_inner() {
-                Some(chunk) => {
-                    for (&input, verdict) in plan.chunk_indices(chunk_idx).iter().zip(chunk) {
-                        out[input as usize] = Some(verdict);
-                    }
-                }
+                Some(verdicts) => out.extend(verdicts),
                 None => {
-                    // A worker died between stealing this chunk and
+                    // A worker died between claiming this chunk and
                     // publishing it (possible under a resilience policy
                     // only if the fault escaped the per-transaction
                     // guard). Reprocess the chunk on the calling thread
                     // under the same guard.
                     let mut tags = LocalTagCache::new(cache);
                     let mut scratch = AnalysisScratch::default();
-                    let front = sink.worker_front();
-                    let tfront = tracer.worker_front();
-                    for &input in plan.chunk_indices(chunk_idx) {
-                        let input = input as usize;
-                        out[input] = Some(analyze_guarded(
-                            detector,
-                            txs[input],
-                            input,
-                            view,
-                            &mut tags,
-                            &mut scratch,
-                            &front,
-                            &tfront,
-                            policy,
-                        ));
-                    }
+                    out.extend(analyze_run(
+                        detector,
+                        chunks[chunk_idx],
+                        chunk_idx * self.chunk_size,
+                        view,
+                        &mut tags,
+                        &mut scratch,
+                        &sink.worker_front(),
+                        &tracer.worker_front(),
+                        policy,
+                    ));
                 }
             }
         }
-        if S::ENABLED {
-            let mut stats = plan.stats();
-            stats.steal_retries = steal_retries.load(Ordering::Relaxed);
-            sink.scheduled(&stats);
-        }
-        out.into_iter()
-            .map(|v| v.expect("the wave plan schedules every input index exactly once"))
-            .collect()
+        out
     }
+}
+
+/// Analyzes `run` — the batch's transactions from index `first` on — with
+/// one worker's cache front, scratch buffers and sink fronts, returning
+/// one verdict per transaction in input order.
+#[allow(clippy::too_many_arguments)]
+fn analyze_run<S: MetricsSink, T: TraceSink>(
+    detector: &LeiShen,
+    run: &[&TxRecord],
+    first: usize,
+    view: &ChainView<'_>,
+    tags: &mut LocalTagCache<'_>,
+    scratch: &mut AnalysisScratch,
+    front: &S,
+    tfront: &T,
+    policy: Option<&ResilienceConfig>,
+) -> Vec<Verdict> {
+    run.iter()
+        .enumerate()
+        .map(|(offset, tx)| {
+            analyze_guarded(
+                detector,
+                tx,
+                first + offset,
+                view,
+                tags,
+                scratch,
+                front,
+                tfront,
+                policy,
+            )
+        })
+        .collect()
 }
 
 /// Analyzes one transaction under the given resilience policy.

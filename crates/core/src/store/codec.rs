@@ -37,11 +37,6 @@ impl Enc {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Raw bytes, no length prefix (caller encodes the length).
-    pub(crate) fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
     pub(crate) fn finish(self) -> Vec<u8> {
         self.buf
     }
@@ -88,11 +83,6 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
-    }
-
-    /// `n` raw bytes as an owned vector (inverse of [`Enc::bytes`]).
-    pub(crate) fn take_vec(&mut self, n: usize, what: &str) -> Result<Vec<u8>, StoreError> {
-        Ok(self.take(n, what)?.to_vec())
     }
 
     /// Length-prefixed UTF-8 string (inverse of [`Enc::str`]).

@@ -1,4 +1,4 @@
-//! Durable storage: a pluggable backend trait over an append-only,
+//! Durable storage: a write-ahead verdict journal over an append-only,
 //! CRC-checksummed segment log.
 //!
 //! Everything upstream of this module keeps its state in RAM, which
@@ -27,28 +27,19 @@
 //!   yields the durable block prefix so
 //!   [`crate::stream::StreamService::resume`] re-emits nothing already
 //!   durable — exactly-once across process death.
-//! * **[`StorageBackend`]** — the get/put/batch/flush/metrics trait
-//!   over which larger-than-RAM state (the transfer journal, the
-//!   creation table) migrates out of memory: [`MemoryBackend`] is the
-//!   current in-RAM store, [`LogBackend`] the durable one riding the
-//!   same segment log as the journal.
 //!
 //! The crash-point chaos campaign over this module lives in the
 //! `recover` bench bin (`BENCH_recover.json`); the torn-tail proptests
 //! in `tests/store_recovery.rs` pin the no-panic recovery contract.
 
-use std::collections::BTreeMap;
-
 mod codec;
 mod journal;
-mod kv;
 mod media;
 mod segment;
 
 pub use journal::{
     Checkpoint, DurableBlock, JournalConfig, JournalRecovery, VerdictJournal, VerdictRecord,
 };
-pub use kv::LogBackend;
 pub use media::{ArmedIoFault, DirMedia, FaultMedia, Media, MemMedia, WriteTotals};
 pub use segment::{FsyncPolicy, LogConfig, LogMetrics, RecoveryReport, SegmentLog};
 
@@ -145,123 +136,9 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-// ---------------------------------------------------------------------------
-// The backend trait
-// ---------------------------------------------------------------------------
-
-/// Counters every [`StorageBackend`] exposes, so capacity planning and
-/// the bench bins read one shape regardless of backend.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreMetrics {
-    /// `get` calls served.
-    pub gets: u64,
-    /// `get` calls that found a value.
-    pub hits: u64,
-    /// Keys written (individually or batched).
-    pub puts: u64,
-    /// Explicit `flush` calls honored.
-    pub flushes: u64,
-    /// Live keys.
-    pub keys: u64,
-    /// Bytes appended to the backing log (0 for in-memory backends).
-    pub log_bytes: u64,
-}
-
-/// A pluggable key-value store: the interface the chain state, creation
-/// table, and label cloud migrate onto so corpus size stops being
-/// capped by RAM (ROADMAP item 2).
-///
-/// Implementations: [`MemoryBackend`] (today's in-RAM store) and
-/// [`LogBackend`] (durable, over the same [`SegmentLog`] substrate as
-/// the verdict journal).
-pub trait StorageBackend {
-    /// The value stored under `key`, if any.
-    fn get(&mut self, key: &[u8]) -> Option<Vec<u8>>;
-
-    /// Stores `value` under `key`, replacing any previous value.
-    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError>;
-
-    /// Stores every pair, in order. A durable backend appends all
-    /// frames before flushing once, so a batch is cheaper than
-    /// equivalent individual puts.
-    fn batch(&mut self, ops: &[(&[u8], &[u8])]) -> Result<(), StoreError> {
-        for (key, value) in ops {
-            self.put(key, value)?;
-        }
-        self.flush()
-    }
-
-    /// Forces buffered writes down to the media.
-    fn flush(&mut self) -> Result<(), StoreError>;
-
-    /// Lifetime counters.
-    fn metrics(&self) -> StoreMetrics;
-}
-
-/// The in-memory [`StorageBackend`]: a `BTreeMap` with metrics — the
-/// store every pre-PR-10 component implicitly used, now behind the
-/// trait so callers can swap in [`LogBackend`] without code changes.
-#[derive(Clone, Debug, Default)]
-pub struct MemoryBackend {
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
-    metrics: StoreMetrics,
-}
-
-impl MemoryBackend {
-    /// An empty in-memory store.
-    pub fn new() -> Self {
-        MemoryBackend::default()
-    }
-}
-
-impl StorageBackend for MemoryBackend {
-    fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.metrics.gets += 1;
-        let hit = self.map.get(key).cloned();
-        if hit.is_some() {
-            self.metrics.hits += 1;
-        }
-        hit
-    }
-
-    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.metrics.puts += 1;
-        self.map.insert(key.to_vec(), value.to_vec());
-        self.metrics.keys = self.map.len() as u64;
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<(), StoreError> {
-        self.metrics.flushes += 1;
-        Ok(())
-    }
-
-    fn metrics(&self) -> StoreMetrics {
-        self.metrics
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn memory_backend_round_trips_and_counts() {
-        let mut store = MemoryBackend::new();
-        assert_eq!(store.get(b"missing"), None);
-        store.put(b"k", b"v1").unwrap();
-        store.put(b"k", b"v2").unwrap();
-        assert_eq!(store.get(b"k").as_deref(), Some(&b"v2"[..]));
-        store.batch(&[(b"a".as_ref(), b"1".as_ref()), (b"b".as_ref(), b"2".as_ref())]).unwrap();
-        assert_eq!(store.get(b"a").as_deref(), Some(&b"1"[..]));
-
-        let m = store.metrics();
-        assert_eq!(m.gets, 3);
-        assert_eq!(m.hits, 2);
-        assert_eq!(m.puts, 4);
-        assert_eq!(m.keys, 3);
-        assert_eq!(m.flushes, 1);
-    }
 
     #[test]
     fn error_codes_are_stable() {

@@ -13,7 +13,7 @@
 //! * **Scan** — a scanner thread drains the ingest queue one block at a
 //!   time and runs each block through
 //!   [`ScanEngine::scan_resilient_with`], so streamed blocks get the
-//!   same conflict-aware scheduling, shared [`TagCache`], telemetry and
+//!   same chunked worker pool, shared [`TagCache`], telemetry and
 //!   provenance wiring as a batch scan. Each block is one telemetry /
 //!   trace epoch: worker fronts merge into the shared sinks when the
 //!   block's scan completes, so per-block counters land as the block
@@ -462,8 +462,8 @@ impl StreamService {
         }
     }
 
-    /// A service over a caller-configured engine (chunk size, naive
-    /// chunking, oversubscription).
+    /// A service over a caller-configured engine (chunk size,
+    /// oversubscription).
     pub fn with_engine(engine: ScanEngine, config: StreamConfig) -> Self {
         StreamService { engine, config }
     }

@@ -253,19 +253,6 @@ pub fn tag_transfers_with_into(
     }));
 }
 
-/// Whether two addresses belong to the same contract-creation tree.
-///
-/// Two accounts share ancestry when walking each one's creation chain
-/// upward lands on the same root creator — the condition under which
-/// [`tag_of`] gives them the same application tag (an attack contract and
-/// the mixer-laundered EOAs it spawns, for example). The scheduler uses
-/// this relation to keep such transactions on one worker, but it is also
-/// useful on its own for forensic grouping. The zero address belongs to
-/// no tree.
-pub fn shares_creation_ancestry(a: Address, b: Address, creations: &CreationIndex) -> bool {
-    !a.is_zero() && !b.is_zero() && creations.root(a) == creations.root(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,23 +304,6 @@ mod tests {
         assert_eq!(tag_of(b1, &labels, &idx), Tag::Root(b1));
         // attacker EOA and its contract share one identity
         assert_eq!(tag_of(b1, &labels, &idx), tag_of(b3, &labels, &idx));
-    }
-
-    #[test]
-    fn creation_ancestry_is_shared_within_a_tree_and_nowhere_else() {
-        // d1 -> d2 -> {d3, d4}; d5 stands alone.
-        let d1 = Address::from_u64(31);
-        let d2 = Address::from_u64(32);
-        let d3 = Address::from_u64(33);
-        let d4 = Address::from_u64(34);
-        let d5 = Address::from_u64(35);
-        let idx = CreationIndex::new(&[rec(d1, d2), rec(d2, d3), rec(d2, d4)]);
-        assert!(shares_creation_ancestry(d3, d4, &idx));
-        assert!(shares_creation_ancestry(d1, d4, &idx));
-        assert!(shares_creation_ancestry(d3, d3, &idx));
-        assert!(!shares_creation_ancestry(d3, d5, &idx));
-        assert!(!shares_creation_ancestry(Address::ZERO, d1, &idx));
-        assert!(!shares_creation_ancestry(d1, Address::ZERO, &idx));
     }
 
     #[test]

@@ -31,8 +31,6 @@ use ethsim::TxId;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::sched::SchedStats;
-
 /// The instrumented pipeline stages, in execution order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Stage {
@@ -228,13 +226,6 @@ pub trait MetricsSink {
     /// scans only). Counted next to [`MetricsSink::transaction`] so
     /// operators can monitor degraded-mode rates per batch.
     fn quarantined(&self) {}
-
-    /// The engine planned a multi-worker batch with this shape (see
-    /// [`SchedStats`]): clusters, waves, adaptive chunk size, and the
-    /// pool's steal-retry count. Reported once per batch, on the
-    /// *shared* sink, after the scan completes — never from worker
-    /// fronts. The default ignores it.
-    fn scheduled(&self, _stats: &SchedStats) {}
 }
 
 /// The do-nothing sink: the hot path's default. Compiles to nothing.
@@ -261,7 +252,6 @@ impl MetricsSink for NoopSink {
 struct RecordingInner {
     stages: [Vec<u64>; STAGE_COUNT],
     totals: TxCountersTotal,
-    sched: Option<SchedStats>,
 }
 
 impl RecordingInner {
@@ -332,12 +322,6 @@ impl RecordingSink {
         self.inner.lock().totals
     }
 
-    /// The shape of the most recent scheduled batch, when a
-    /// multi-worker scan reported one (see [`MetricsSink::scheduled`]).
-    pub fn scheduler_stats(&self) -> Option<SchedStats> {
-        self.inner.lock().sched
-    }
-
     /// Per-stage latency summary (count, total, exact percentiles).
     pub fn stage_summary(&self, stage: Stage) -> StageSummary {
         let mut samples = self.stage_samples(stage);
@@ -386,10 +370,6 @@ impl MetricsSink for RecordingSink {
 
     fn quarantined(&self) {
         self.inner.lock().totals.quarantined += 1;
-    }
-
-    fn scheduled(&self, stats: &SchedStats) {
-        self.inner.lock().sched = Some(*stats);
     }
 }
 
