@@ -8,13 +8,14 @@
 
 use std::collections::HashMap;
 
-use ethsim::Address;
+use ethsim::{Address, BuildFnv};
 use serde::{Deserialize, Serialize};
 
-/// A partial address → application-name map.
+/// A partial address → application-name map, keyed with
+/// [`ethsim::FnvHasher`]: tagging probes it once per account it walks.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Labels {
-    map: HashMap<Address, String>,
+    map: HashMap<Address, String, BuildFnv>,
 }
 
 impl Labels {
@@ -60,12 +61,6 @@ impl FromIterator<(Address, String)> for Labels {
         Labels {
             map: iter.into_iter().collect(),
         }
-    }
-}
-
-impl Extend<(Address, String)> for Labels {
-    fn extend<T: IntoIterator<Item = (Address, String)>>(&mut self, iter: T) {
-        self.map.extend(iter);
     }
 }
 

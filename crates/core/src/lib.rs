@@ -102,9 +102,7 @@ pub use stream::{
     Block, BlockReport, BoundedQueue, DurableReport, QueueStats, StreamConfig, StreamProducer,
     StreamReport, StreamService,
 };
-pub use tagging::{
-    tag_transfers, tag_transfers_with, tag_transfers_with_into, Tag, TagMap, TaggedTransfer,
-};
+pub use tagging::{tag_transfers, tag_transfers_with_into, Tag, TagMap, TaggedTransfer};
 pub use telemetry::{
     MetricsSink, NoopSink, RecordingSink, Stage, StageSummary, TxCounters, TxCountersTotal,
     STAGES, STAGE_COUNT,

@@ -14,11 +14,11 @@
 //!   corpus* instead of per transaction. The cache is only valid for one
 //!   `(labels, creations)` context; build a fresh one per [`ChainView`].
 //! * [`ScanEngine`] — cuts a batch into input-order chunks and fans them
-//!   over a worker pool, each worker claiming the next chunk from a
-//!   shared counter and every worker sharing one `TagCache`. Results come
-//!   back in **input order** regardless of which worker processed which
-//!   chunk, so a parallel scan is byte-for-byte comparable with a serial
-//!   loop over the same slice.
+//!   over a worker pool (the calling thread is one of the workers), each
+//!   worker claiming the next chunk from a shared counter and every
+//!   worker sharing one `TagCache`. Results come back in **input order**
+//!   regardless of which worker processed which chunk, so a parallel scan
+//!   is byte-for-byte comparable with a serial loop over the same slice.
 //!
 //! ```
 //! use leishen::{ChainView, DetectorConfig, Labels, LeiShen, ScanEngine};
@@ -33,12 +33,12 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ethsim::{validate_record, Address, CreationIndex, TxRecord};
+use ethsim::{validate_record, Address, BuildFnv, CreationIndex, FnvHasher, TxRecord};
 use parking_lot::{Mutex, RwLock};
 
 use crate::detector::{Analysis, AnalysisScratch, ChainView, LeiShen};
@@ -56,42 +56,6 @@ use crate::trace::{Decision, FlightRecorder, NoopTracer, Reason, TraceBuilder, T
 /// count while staying cache-friendly.
 pub const SHARD_COUNT: usize = 16;
 
-/// FNV-1a. Addresses are short fixed-size keys held in trusted maps, so
-/// SipHash's hash-flooding resistance buys nothing here and costs several
-/// times more per probe — and the cache probe is the hot path's single
-/// most frequent operation.
-pub(crate) struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Eight bytes per round instead of one: an address is 20 bytes
-        // (plus the slice-hash length prefix), so this is ~7 multiplies
-        // per probe instead of ~28.
-        let mut h = self.0;
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            h ^= u64::from_ne_bytes(c.try_into().expect("chunks_exact(8)"));
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        for &b in chunks.remainder() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-pub(crate) type BuildFnv = BuildHasherDefault<FnvHasher>;
 type TagMapInner = HashMap<Address, Tag, BuildFnv>;
 
 /// A sharded, concurrent memo table for [`tag_of`] results.
@@ -100,7 +64,16 @@ type TagMapInner = HashMap<Address, Tag, BuildFnv>;
 /// against one fixed [`ChainView`], so resolutions can be shared freely
 /// across transactions and across worker threads. Each shard is an
 /// independent `RwLock<HashMap>`; lookups take a read lock, inserts a
-/// write lock on one shard only.
+/// write lock on one shard only. Shards are keyed with FNV
+/// ([`ethsim::FnvHasher`]): the cache probe is the hot path's single most
+/// frequent operation, and its keys come from the chain.
+///
+/// Worker fronts ([`LocalTagCache`]) read a lock-free snapshot: one merge
+/// of every shard, rebuilt only once the cache holds at least twice the
+/// snapshot's entries. A cache that grows block by block (a stream over a
+/// cold cache) therefore pays merge work proportional to its final size
+/// in total — a rebuild at every doubling — and addresses newer than the
+/// snapshot are answered by the shards.
 ///
 /// The zero address short-circuits to [`Tag::BlackHole`] without touching
 /// the table.
@@ -115,20 +88,11 @@ pub struct TagCache {
     // Lock acquisitions that found the shard already held (the try-lock
     // fast path failed and the caller had to wait).
     shard_lock_waits: [AtomicU64; SHARD_COUNT],
-    // Bumped after every insert; `snapshot` is rebuilt only when its
-    // recorded generation falls behind this counter.
-    generation: AtomicU64,
-    snapshot: RwLock<Snapshot>,
+    // A frozen merge of every shard at its last rebuild. Entries are
+    // immutable once inserted, so a stale snapshot is only ever *missing*
+    // addresses, never wrong about one — until `clear`, which resets it.
+    snapshot: RwLock<Arc<TagMapInner>>,
     snapshot_rebuilds: AtomicU64,
-}
-
-/// A frozen merge of every shard at some generation. Entries are
-/// immutable once inserted, so a stale snapshot is only ever *missing*
-/// addresses, never wrong about one.
-#[derive(Debug, Default)]
-struct Snapshot {
-    generation: u64,
-    map: Arc<TagMapInner>,
 }
 
 /// Telemetry snapshot of one [`TagCache`] shard.
@@ -184,54 +148,46 @@ impl TagCache {
             shard.write()
         });
         guard.insert(addr, tag.clone());
-        drop(guard);
-        self.generation.fetch_add(1, Ordering::Release);
         tag
     }
 
-    /// A frozen, lock-free view of everything cached so far, shared by
-    /// reference. Worker fronts ([`LocalTagCache`]) probe this map with
-    /// no lock and no per-worker copy; it is rebuilt (one merge pass
-    /// over the shards) only when inserts have happened since the last
-    /// snapshot, so in the steady state — every address of the working
-    /// set already cached — taking a snapshot is one `Arc` clone.
+    /// A frozen, lock-free view of the cache, shared by reference. Worker
+    /// fronts ([`LocalTagCache`]) probe this map with no lock and no
+    /// per-worker copy. It is rebuilt (one merge pass over the shards)
+    /// only once the cache holds at least twice its entries, so taking a
+    /// snapshot is usually one `Arc` clone, and the view may lack up to
+    /// half of the cached addresses.
     pub(crate) fn snapshot(&self) -> Arc<TagMapInner> {
-        let current = self.generation.load(Ordering::Acquire);
+        let entries = self.len();
+        let stale = |snap: &TagMapInner| entries > 0 && entries >= 2 * snap.len();
         {
             let snap = self.snapshot.read();
-            if snap.generation == current {
-                return Arc::clone(&snap.map);
+            if !stale(&snap) {
+                return Arc::clone(&snap);
             }
         }
         let mut snap = self.snapshot.write();
         // Double-checked: another worker may have rebuilt while this one
         // waited on the write lock.
-        let current = self.generation.load(Ordering::Acquire);
-        if snap.generation == current {
-            return Arc::clone(&snap.map);
+        if !stale(&snap) {
+            return Arc::clone(&snap);
         }
-        // Record the generation observed *before* merging: an insert
-        // racing with the merge bumps the counter past this value, so
-        // the next snapshot() call rebuilds again and picks it up.
-        let mut merged =
-            TagMapInner::with_capacity_and_hasher(self.len(), BuildFnv::default());
+        let mut merged = TagMapInner::with_capacity_and_hasher(entries, BuildFnv::default());
         for shard in &self.shards {
             for (addr, tag) in shard.read().iter() {
                 merged.insert(*addr, tag.clone());
             }
         }
         self.snapshot_rebuilds.fetch_add(1, Ordering::Relaxed);
-        *snap = Snapshot {
-            generation: current,
-            map: Arc::new(merged),
-        };
-        Arc::clone(&snap.map)
+        *snap = Arc::new(merged);
+        Arc::clone(&snap)
     }
 
-    /// How many times [`TagCache::snapshot`] had to rebuild the frozen
-    /// view (0 ⇒ never taken or always current). One rebuild per batch
-    /// of new addresses is the expected steady state; a rebuild per
-    /// *scan* means the working set is still growing.
+    /// How many times the frozen view behind [`LocalTagCache`] was
+    /// rebuilt (0 ⇒ never taken, or taken only over an empty cache). A
+    /// rebuild happens each time the cache doubles past the last one, so
+    /// a cache grown to `n` entries has been rebuilt at most about
+    /// `log2(n) + 1` times however many fronts were built over it.
     pub fn snapshot_rebuilds(&self) -> u64 {
         self.snapshot_rebuilds.load(Ordering::Relaxed)
     }
@@ -305,13 +261,9 @@ impl TagCache {
         for m in &self.shard_lock_waits {
             m.store(0, Ordering::Relaxed);
         }
-        // Invalidate the frozen view: bump the generation and publish an
-        // empty snapshot stamped with it.
-        let generation = self.generation.fetch_add(1, Ordering::Release) + 1;
-        *self.snapshot.write() = Snapshot {
-            generation,
-            map: Arc::new(TagMapInner::default()),
-        };
+        // The frozen view holds tags of the old context: drop it, or the
+        // next fronts would answer from it until the cache doubled again.
+        *self.snapshot.write() = Arc::default();
     }
 }
 
@@ -319,9 +271,13 @@ impl TagCache {
 ///
 /// A scan worker resolves the same handful of venue / provider / token
 /// addresses on nearly every transaction. This layer answers those
-/// repeats from an unsynchronized local map — no lock, no shard hash,
-/// no atomic — and only falls through to the shared cache on a local
-/// miss, so tags computed by one worker still reach the others.
+/// repeats from the cache's frozen snapshot and an unsynchronized local
+/// overlay — no lock, no shard hash, no atomic — and only falls through
+/// to the shared cache on a local miss, so tags computed by one worker
+/// still reach the others. The snapshot is rebuilt only when the cache
+/// has doubled since the last rebuild, so building a front is cheap even
+/// while the cache grows; addresses the snapshot lacks cost one shard
+/// probe per front, then live in the overlay.
 ///
 /// Local hits count toward the shared cache's [`TagCache::hits`] counter;
 /// the tally is flushed when the `LocalTagCache` is dropped.
@@ -331,16 +287,17 @@ pub struct LocalTagCache<'a> {
     // no lock, no atomic, and no per-worker copy. Over a warm cache this
     // answers essentially every lookup.
     snapshot: Arc<TagMapInner>,
-    // Addresses resolved after the snapshot was taken. Usually a handful
-    // per batch; they reach other workers through the shared cache and
-    // join the snapshot on its next rebuild.
+    // Addresses this front resolved that the snapshot lacks: new ones,
+    // and cached ones newer than the last rebuild. They reach other
+    // workers through the shared cache and join the snapshot when the
+    // cache next doubles.
     overlay: TagMapInner,
     hits: u64,
 }
 
 impl<'a> LocalTagCache<'a> {
-    /// A front over `shared`, seeded with its current
-    /// [snapshot](TagCache::snapshot).
+    /// A front over `shared`, seeded with its snapshot, which is rebuilt
+    /// first if the cache has doubled since the last rebuild.
     pub fn new(shared: &'a TagCache) -> Self {
         LocalTagCache {
             shared,
@@ -681,38 +638,38 @@ impl ScanEngine {
         let slots: Vec<Mutex<Option<Vec<Verdict>>>> =
             chunks.iter().map(|_| Mutex::new(None)).collect();
 
+        let work = || {
+            let mut tags = LocalTagCache::new(cache);
+            let mut scratch = AnalysisScratch::default();
+            let front = sink.worker_front();
+            let tfront = tracer.worker_front();
+            // Relaxed suffices: the counter only hands out distinct
+            // indices; verdicts travel through the slot mutexes and the
+            // scope join.
+            loop {
+                let chunk_idx = next_chunk.fetch_add(1, Ordering::Relaxed);
+                let Some(chunk) = chunks.get(chunk_idx) else {
+                    break;
+                };
+                let verdicts = analyze_run(
+                    detector,
+                    chunk,
+                    chunk_idx * self.chunk_size,
+                    view,
+                    &mut tags,
+                    &mut scratch,
+                    &front,
+                    &tfront,
+                    policy,
+                );
+                *slots[chunk_idx].lock() = Some(verdicts);
+            }
+        };
         let scope_result = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut tags = LocalTagCache::new(cache);
-                        let mut scratch = AnalysisScratch::default();
-                        let front = sink.worker_front();
-                        let tfront = tracer.worker_front();
-                        // Relaxed suffices: the counter only hands out
-                        // distinct indices; verdicts travel through the
-                        // slot mutexes and the scope join.
-                        loop {
-                            let chunk_idx = next_chunk.fetch_add(1, Ordering::Relaxed);
-                            let Some(chunk) = chunks.get(chunk_idx) else {
-                                break;
-                            };
-                            let verdicts = analyze_run(
-                                detector,
-                                chunk,
-                                chunk_idx * self.chunk_size,
-                                view,
-                                &mut tags,
-                                &mut scratch,
-                                &front,
-                                &tfront,
-                                policy,
-                            );
-                            *slots[chunk_idx].lock() = Some(verdicts);
-                        }
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(|_| work())).collect();
+            // The calling thread is the last worker: one thread fewer to
+            // spawn per scan, which is most of a small batch's overhead.
+            work();
             // Join every worker, collecting panic payloads instead of
             // propagating the first one — the rest of the pool gets to
             // finish draining the chunks either way.
@@ -726,8 +683,8 @@ impl ScanEngine {
         });
         let mut panics = match scope_result {
             Ok(panics) => panics,
-            // All threads were joined above, so the scope itself only
-            // errors if a payload slipped past the explicit joins.
+            // The calling thread's own worker panicked. The scope still
+            // waited for the spawned workers to drain the chunks.
             Err(payload) => vec![payload],
         };
 
@@ -1008,6 +965,78 @@ mod tests {
     }
 
     #[test]
+    fn growing_cache_rebuilds_its_snapshot_only_when_it_doubles() {
+        // `k` new addresses per front over `m` fronts, as a stream over a
+        // cold cache grows it block by block. Rebuilding on every growth
+        // would cost m - 1 rebuilds; doubling bounds them by log2(m) + 1.
+        let (k, m) = (7u64, 100u64);
+        // A binary creation tree under address 1, with a conflicting
+        // label at 3: the tags are a mix of App and Unknown.
+        let mut labels = Labels::new();
+        labels.set(Address::from_u64(1), "Uniswap");
+        labels.set(Address::from_u64(3), "Curve");
+        let records: Vec<CreationRecord> = (2..=k * m).map(|a| rec(a / 2, a)).collect();
+        let idx = CreationIndex::new(&records);
+        let cache = TagCache::new();
+        for front_no in 0..m {
+            let mut front = LocalTagCache::new(&cache);
+            // Every address cached so far (some newer than the last
+            // rebuild, so missing from the snapshot) and `k` new ones.
+            for a in 1..=k * (front_no + 1) {
+                let addr = Address::from_u64(a);
+                assert_eq!(
+                    front.resolve(addr, &labels, &idx),
+                    tag_of(addr, &labels, &idx),
+                    "front {front_no} address {a}"
+                );
+            }
+        }
+        assert_eq!(cache.len() as u64, k * m);
+        let bound = u64::from((m as f64).log2().ceil() as u32) + 1;
+        assert!(
+            cache.snapshot_rebuilds() <= bound,
+            "{} rebuilds over {m} fronts, bound {bound}",
+            cache.snapshot_rebuilds()
+        );
+        // Misses are first resolutions only: nothing was computed twice.
+        assert_eq!(cache.misses(), k * m);
+    }
+
+    #[test]
+    fn clear_drops_the_snapshot_with_the_tags() {
+        // Fill the cache and freeze it into a snapshot, then change the
+        // label cloud: after `clear` the next front must not answer from
+        // the old snapshot, although the refilled cache is far smaller.
+        let idx = CreationIndex::new(&[rec(1, 2)]);
+        let mut labels = Labels::new();
+        labels.set(Address::from_u64(1), "Yearn");
+        let cache = TagCache::new();
+        for a in 1u64..=40 {
+            cache.resolve(Address::from_u64(a), &labels, &idx);
+        }
+        let pool = Address::from_u64(2);
+        assert_eq!(
+            LocalTagCache::new(&cache).resolve(pool, &labels, &idx),
+            Tag::App("Yearn".into())
+        );
+        assert_eq!(cache.snapshot_rebuilds(), 1);
+
+        labels.set(Address::from_u64(1), "Uniswap");
+        cache.clear();
+        let relabeled = Tag::App("Uniswap".into());
+        assert_eq!(
+            LocalTagCache::new(&cache).resolve(pool, &labels, &idx),
+            relabeled
+        );
+        // And once the refilled cache is snapshotted again.
+        assert_eq!(
+            LocalTagCache::new(&cache).resolve(pool, &labels, &idx),
+            relabeled
+        );
+        assert_eq!(cache.snapshot_rebuilds(), 2);
+    }
+
+    #[test]
     fn shard_stats_cover_every_miss() {
         let labels = Labels::new();
         let idx = CreationIndex::new(&[rec(1, 2)]);
@@ -1270,6 +1299,61 @@ mod tests {
                 "{message}"
             );
         }
+    }
+
+    /// A sink whose worker front cannot be built on one thread: a fault
+    /// outside the per-transaction guard, on whichever worker runs there.
+    struct RefusesThread(std::thread::ThreadId);
+
+    impl MetricsSink for RefusesThread {
+        const ENABLED: bool = false;
+
+        type WorkerFront<'a> = NoopSink;
+
+        fn worker_front(&self) -> NoopSink {
+            assert_ne!(std::thread::current().id(), self.0, "worker front refused");
+            NoopSink
+        }
+
+        fn transaction(
+            &self,
+            _counters: &crate::telemetry::TxCounters,
+            _laps: &crate::telemetry::StageLaps,
+        ) {
+        }
+    }
+
+    #[test]
+    fn calling_thread_worker_dies_like_a_spawned_one() {
+        // The calling thread is one of the workers. Its worker dies here
+        // before claiming a chunk: a resilient scan still completes on
+        // the spawned worker, and the legacy scan re-raises the panic.
+        let records = world();
+        let txs = refs(&records);
+        let labels = Labels::new();
+        let view = ChainView::new(&labels, &[], None);
+        let detector = LeiShen::new(DetectorConfig::paper());
+        let sink = RefusesThread(std::thread::current().id());
+        let engine = ScanEngine::new(2).with_chunk_size(2).allow_oversubscription();
+
+        let scan = engine.scan_resilient_with(
+            &detector,
+            &txs,
+            &view,
+            &TagCache::new(),
+            &ResilienceConfig::new(),
+            &sink,
+            &NoopTracer,
+        );
+        assert_eq!(scan.verdicts.len(), txs.len());
+        assert!(scan.is_fully_analyzed());
+
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            engine.scan_instrumented(&detector, &txs, &view, &TagCache::new(), &sink, &NoopTracer)
+        }));
+        let payload = caught.expect_err("legacy scan re-raises the panic");
+        let message = payload_message(payload.as_ref());
+        assert!(message.contains("worker front refused"), "{message}");
     }
 
     #[test]

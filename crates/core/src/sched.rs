@@ -24,9 +24,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use ethsim::{Address, CreationIndex, TxRecord};
-
-use crate::scan::BuildFnv;
+use ethsim::{Address, BuildFnv, CreationIndex, TxRecord};
 
 /// How many chunks per worker a wave aims for.
 const CHUNKS_PER_WORKER: usize = 4;

@@ -107,27 +107,18 @@ impl TagMap {
         labels: &Labels,
         creations: &CreationIndex,
     ) -> TagMap {
-        TagMap::build_with(addresses, |addr| tag_of(addr, labels, creations))
-    }
-
-    /// Builds the tag map with a caller-supplied resolver — e.g. a shared
-    /// [`crate::scan::TagCache`] so repeated addresses across a corpus
-    /// resolve once instead of once per transaction.
-    pub fn build_with(
-        addresses: impl IntoIterator<Item = Address>,
-        mut resolve: impl FnMut(Address) -> Tag,
-    ) -> TagMap {
         let mut tags = HashMap::new();
         for addr in addresses {
-            tags.entry(addr).or_insert_with(|| resolve(addr));
+            tags.entry(addr)
+                .or_insert_with(|| tag_of(addr, labels, creations));
         }
         TagMap { tags }
     }
 
-    /// Tag of `addr`; addresses outside the built set get computed lazily
-    /// as `Root(addr)` fallbacks would be wrong, so this returns
-    /// `Tag::Unknown` style fallback by address — callers should build the
-    /// map over all relevant addresses first.
+    /// Tag of `addr`: [`Tag::BlackHole`] for the zero address, the built
+    /// tag for an address in the built set, and `Tag::Root(addr)` for any
+    /// other address. That fallback is wrong for an account with a
+    /// creator or a label, so build the map over every address you ask about.
     pub fn get(&self, addr: Address) -> Tag {
         if addr.is_zero() {
             return Tag::BlackHole;
@@ -136,16 +127,6 @@ impl TagMap {
             .get(&addr)
             .cloned()
             .unwrap_or(Tag::Root(addr))
-    }
-
-    /// Number of tagged addresses.
-    pub fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
     }
 }
 
@@ -157,28 +138,26 @@ pub fn tag_of(addr: Address, labels: &Labels, creations: &CreationIndex) -> Tag 
     if let Some(app) = labels.get(addr) {
         return Tag::App(Arc::from(app));
     }
-    // Collect distinct app names among ancestors and descendants. Names
-    // are borrowed from the label cloud; only the winning one is interned.
-    fn push<'a>(found: &mut Vec<&'a str>, name: &'a str) {
-        if !found.contains(&name) {
-            found.push(name);
+    // One walk over the ancestors (nearest first, noting the last as the
+    // root) and the descendants (preorder). A second distinct app name
+    // settles the conflict, so the walk stops there. Names are borrowed
+    // from the label cloud; only the winning one is interned.
+    let mut root = addr;
+    let mut found: Option<&str> = None;
+    let related = creations
+        .ancestors(addr)
+        .inspect(|&anc| root = anc)
+        .chain(creations.descendants(addr));
+    for name in related.filter_map(|a| labels.get(a)) {
+        match found {
+            None => found = Some(name),
+            Some(first) if first != name => return Tag::Unknown(addr),
+            Some(_) => {}
         }
     }
-    let mut found: Vec<&str> = Vec::new();
-    for anc in creations.ancestors(addr) {
-        if let Some(app) = labels.get(anc) {
-            push(&mut found, app);
-        }
-    }
-    for desc in creations.descendants(addr) {
-        if let Some(app) = labels.get(desc) {
-            push(&mut found, app);
-        }
-    }
-    match found.len() {
-        1 => Tag::App(Arc::from(found[0])),
-        0 => Tag::Root(creations.root(addr)),
-        _ => Tag::Unknown(addr),
+    match found {
+        Some(name) => Tag::App(Arc::from(name)),
+        None => Tag::Root(root),
     }
 }
 
@@ -223,21 +202,12 @@ pub fn tag_transfers(
 }
 
 /// Tags a transaction's account-level transfers through a caller-supplied
-/// resolver (which must map the zero address to [`Tag::BlackHole`]). A
-/// memoizing resolver such as [`crate::scan::TagCache::resolve`] already
-/// deduplicates addresses, so no per-transaction [`TagMap`] is built.
-pub fn tag_transfers_with(
-    transfers: &[Transfer],
-    resolve: impl FnMut(Address) -> Tag,
-) -> Vec<TaggedTransfer> {
-    let mut out = Vec::with_capacity(transfers.len());
-    tag_transfers_with_into(transfers, resolve, &mut out);
-    out
-}
-
-/// [`tag_transfers_with`] into a reused buffer (cleared first). The
-/// tagged list is transient in the full pipeline, so batch scanners keep
-/// one buffer per worker instead of allocating one per transaction.
+/// resolver (which must map the zero address to [`Tag::BlackHole`]) into
+/// a reused buffer (cleared first). A memoizing resolver such as
+/// [`crate::scan::TagCache::resolve`] already deduplicates addresses, so
+/// no per-transaction [`TagMap`] is built; and the tagged list is
+/// transient in the full pipeline, so batch scanners keep one buffer per
+/// worker instead of allocating one per transaction.
 pub fn tag_transfers_with_into(
     transfers: &[Transfer],
     mut resolve: impl FnMut(Address) -> Tag,

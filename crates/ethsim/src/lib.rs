@@ -51,7 +51,8 @@
 //! * [`transfer`], [`log`], [`frame`] — the per-transaction trace,
 //! * [`context`] — the execution context contracts run in,
 //! * [`chain`] — blocks, timestamps, transaction execution and replay,
-//! * [`creation`] — the contract-creation dataset and index,
+//! * [`creation`] — the contract-creation dataset, its index, and the FNV
+//!   hasher for address-keyed maps,
 //! * [`calendar`] — block-timestamp → calendar conversion for the weekly /
 //!   monthly series in the paper's Fig. 1 and Fig. 8.
 
@@ -77,7 +78,7 @@ pub use address::Address;
 pub use calendar::{Date, MonthIndex, WeekIndex};
 pub use chain::{Chain, ChainConfig, ExecStats};
 pub use context::TxContext;
-pub use creation::{CreationIndex, CreationRecord};
+pub use creation::{BuildFnv, CreationIndex, CreationRecord, FnvHasher};
 pub use error::SimError;
 pub use frame::CallFrame;
 pub use log::{EventLog, LogValue};

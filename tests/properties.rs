@@ -21,6 +21,164 @@ use leishen::trades::{identify_trades, Trade, TradeKind, TradeSide};
 use leishen::tagging::tag_of;
 use leishen::{patterns, Labels, TagCache};
 
+/// The random creation-forest family of the tagging properties: the
+/// addresses `1000..1000 + chain + 20`. The first `chain` form one chain
+/// (each created by the one before; the properties draw chains up to 158
+/// levels deep); each of the other 20 is created by a seed-chosen earlier
+/// address. Every `spacing`-th address carries one of three app names, the
+/// next name at each labelled address, so dense labels on a chain conflict
+/// and sparse ones leave single-name and unlabelled trees.
+fn creation_forest(
+    seed: u64,
+    chain: u64,
+    spacing: u64,
+) -> (Vec<Address>, Labels, Vec<CreationRecord>) {
+    let mut records = Vec::new();
+    let mut labels = Labels::new();
+    let mut addrs = Vec::new();
+    for i in 0..chain + 20 {
+        let a = Address::from_u64(1000 + i);
+        addrs.push(a);
+        if i > 0 {
+            let parent = if i < chain { i - 1 } else { (seed + i) % i };
+            let creator = Address::from_u64(1000 + parent);
+            records.push(CreationRecord {
+                creator,
+                created: a,
+                block: 0,
+            });
+        }
+        if (seed + i).is_multiple_of(spacing) {
+            labels.set(a, format!("App{}", (seed + i) / spacing % 3));
+        }
+    }
+    (addrs, labels, records)
+}
+
+/// `tag_of` as it stood before it became one early-exit walk, kept
+/// verbatim as the reference the current implementation must equal: it
+/// collects every ancestor and every descendant into vectors, then the
+/// distinct app names among them.
+mod vec_collecting {
+    use std::sync::Arc;
+
+    use super::*;
+
+    pub fn ancestors(creations: &CreationIndex, addr: Address) -> Vec<Address> {
+        let mut out = Vec::new();
+        let mut cur = addr;
+        // Creation graphs are trees (an address is created once); the loop
+        // bound still guards against corrupted inputs.
+        for _ in 0..1024 {
+            match creations.parent(cur) {
+                Some(p) => {
+                    out.push(p);
+                    cur = p;
+                }
+                None => break,
+            }
+        }
+        out
+    }
+
+    fn root(creations: &CreationIndex, addr: Address) -> Address {
+        ancestors(creations, addr).last().copied().unwrap_or(addr)
+    }
+
+    pub fn descendants(creations: &CreationIndex, addr: Address) -> Vec<Address> {
+        let mut out = Vec::new();
+        let mut stack: Vec<Address> = creations.children(addr).to_vec();
+        stack.reverse();
+        while let Some(next) = stack.pop() {
+            out.push(next);
+            let kids = creations.children(next);
+            for k in kids.iter().rev() {
+                stack.push(*k);
+            }
+        }
+        out
+    }
+
+    pub fn tag_of(addr: Address, labels: &Labels, creations: &CreationIndex) -> Tag {
+        if addr.is_zero() {
+            return Tag::BlackHole;
+        }
+        if let Some(app) = labels.get(addr) {
+            return Tag::App(Arc::from(app));
+        }
+        // Collect distinct app names among ancestors and descendants. Names
+        // are borrowed from the label cloud; only the winning one is interned.
+        fn push<'a>(found: &mut Vec<&'a str>, name: &'a str) {
+            if !found.contains(&name) {
+                found.push(name);
+            }
+        }
+        let mut found: Vec<&str> = Vec::new();
+        for anc in ancestors(creations, addr) {
+            if let Some(app) = labels.get(anc) {
+                push(&mut found, app);
+            }
+        }
+        for desc in descendants(creations, addr) {
+            if let Some(app) = labels.get(desc) {
+                push(&mut found, app);
+            }
+        }
+        match found.len() {
+            1 => Tag::App(Arc::from(found[0])),
+            0 => Tag::Root(root(creations, addr)),
+            _ => Tag::Unknown(addr),
+        }
+    }
+}
+
+/// The distinct app names among `walk`'s addresses, first seen first.
+fn distinct_names(labels: &Labels, walk: impl Iterator<Item = Address>) -> Vec<&str> {
+    let mut names = Vec::new();
+    for name in walk.filter_map(|a| labels.get(a)) {
+        if !names.contains(&name) {
+            names.push(name);
+        }
+    }
+    names
+}
+
+#[test]
+fn creation_forest_family_reaches_every_fig7_case() {
+    // The forests the tagging properties draw from must exercise what the
+    // reference comparison is for: chains deeper than 64 levels, conflicts
+    // settled by the second name inside the ancestor walk and inside the
+    // descendant walk, and propagated and root tags next to them.
+    let (mut deep, mut second_above, mut second_below) = (false, false, false);
+    let (mut propagated, mut rooted) = (false, false);
+    for seed in 0..20 {
+        for (chain, spacing) in [(0, 5), (100, 7), (150, 30), (80, 60)] {
+            let (addrs, labels, records) = creation_forest(seed, chain, spacing);
+            let idx = CreationIndex::new(&records);
+            for &a in addrs.iter().filter(|&&a| labels.get(a).is_none()) {
+                deep |= idx.ancestors(a).count() > 64;
+                let above = distinct_names(&labels, idx.ancestors(a)).len();
+                let related = idx.ancestors(a).chain(idx.descendants(a));
+                let all = distinct_names(&labels, related).len();
+                second_above |= above >= 2;
+                second_below |= above <= 1 && all >= 2;
+                match tag_of(a, &labels, &idx) {
+                    Tag::App(_) => propagated = true,
+                    Tag::Root(_) => rooted = true,
+                    _ => {}
+                }
+            }
+        }
+    }
+    assert!(deep, "no chain deeper than 64 levels");
+    assert!(second_above, "no conflict inside the ancestor walk");
+    assert!(second_below, "no conflict inside the descendant walk");
+    assert!(
+        propagated && rooted,
+        "propagated {propagated} rooted {rooted}"
+    );
+}
+
 proptest! {
     #[test]
     fn mul_div_identity(a in 0u128..u128::MAX, b in 1u128..u128::MAX) {
@@ -164,23 +322,14 @@ proptest! {
     }
 
     #[test]
-    fn tagging_is_order_independent(seed in 0u64..1_000) {
+    fn tagging_is_order_independent(
+        seed in 0u64..1_000,
+        chain in 0u64..160,
+        spacing in 2u64..40
+    ) {
         // A random creation forest + labels; TagMap::build must not depend
         // on the iteration order of addresses.
-        let mut records = Vec::new();
-        let mut labels = Labels::new();
-        let mut addrs = Vec::new();
-        for i in 0..20u64 {
-            let a = Address::from_u64(1000 + i);
-            addrs.push(a);
-            if i > 0 {
-                let parent = Address::from_u64(1000 + (seed + i) % i);
-                records.push(CreationRecord { creator: parent, created: a, block: 0 });
-            }
-            if (seed + i) % 5 == 0 {
-                labels.set(a, format!("App{}", (seed + i) % 3));
-            }
-        }
+        let (addrs, labels, records) = creation_forest(seed, chain, spacing);
         let idx = CreationIndex::new(&records);
         let forward = TagMap::build(addrs.clone(), &labels, &idx);
         let mut reversed_addrs = addrs.clone();
@@ -192,25 +341,42 @@ proptest! {
     }
 
     #[test]
-    fn tag_cache_agrees_with_uncached_resolution(seed in 0u64..1_000) {
+    fn tag_of_matches_the_vec_collecting_reference(
+        seed in 0u64..1_000,
+        chain in 0u64..160,
+        spacing in 2u64..40
+    ) {
+        // The single early-exit walk must give the tag the old
+        // collect-everything algorithm gives, on every address of the
+        // forest, the black hole, and an address the forest lacks; and
+        // the walkers must visit what the old vectors held, in order.
+        let (addrs, labels, records) = creation_forest(seed, chain, spacing);
+        let idx = CreationIndex::new(&records);
+        let outside = Address::from_u64(99);
+        for a in addrs.into_iter().chain([Address::ZERO, outside]) {
+            prop_assert_eq!(
+                tag_of(a, &labels, &idx),
+                vec_collecting::tag_of(a, &labels, &idx),
+                "address {:?}", a
+            );
+            prop_assert!(idx.ancestors(a).eq(vec_collecting::ancestors(&idx, a)));
+            prop_assert!(idx.descendants(a).eq(vec_collecting::descendants(&idx, a)));
+        }
+    }
+
+    #[test]
+    fn tag_cache_agrees_with_uncached_resolution(
+        seed in 0u64..1_000,
+        chain in 0u64..160,
+        spacing in 2u64..40
+    ) {
         // Arbitrary creation forest + labels (same family of forests as
         // `tagging_is_order_independent`): the shared TagCache must be a
         // pure memo over `tag_of` — every resolution, miss or hit,
         // identical to a fresh creation-tree walk.
-        let mut records = Vec::new();
-        let mut labels = Labels::new();
+        let (forest, labels, records) = creation_forest(seed, chain, spacing);
         let mut addrs = vec![Address::ZERO];
-        for i in 0..20u64 {
-            let a = Address::from_u64(1000 + i);
-            addrs.push(a);
-            if i > 0 {
-                let parent = Address::from_u64(1000 + (seed + i) % i);
-                records.push(CreationRecord { creator: parent, created: a, block: 0 });
-            }
-            if (seed + i) % 5 == 0 {
-                labels.set(a, format!("App{}", (seed + i) % 3));
-            }
-        }
+        addrs.extend(forest);
         let idx = CreationIndex::new(&records);
         let cache = TagCache::new();
         // Two passes: the first fills the cache (misses), the second
@@ -387,26 +553,15 @@ proptest! {
     #[test]
     fn renaming_preserves_tags_and_cache_coherence(
         seed in 0u64..500,
+        chain in 0u64..160,
+        spacing in 2u64..40,
         salt in 0u64..1_000
     ) {
         use leishen::fuzz::{rename_case, FuzzCase};
 
         // The same random creation-forest family the tagging properties
         // use, packaged as a (transaction-free) fuzz case.
-        let mut records = Vec::new();
-        let mut labels = Labels::new();
-        let mut addrs = Vec::new();
-        for i in 0..20u64 {
-            let a = Address::from_u64(1000 + i);
-            addrs.push(a);
-            if i > 0 {
-                let parent = Address::from_u64(1000 + (seed + i) % i);
-                records.push(CreationRecord { creator: parent, created: a, block: 0 });
-            }
-            if (seed + i) % 5 == 0 {
-                labels.set(a, format!("App{}", (seed + i) % 3));
-            }
-        }
+        let (_, labels, records) = creation_forest(seed, chain, spacing);
         let case = FuzzCase {
             txs: Vec::new(),
             labels,
