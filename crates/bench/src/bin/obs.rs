@@ -19,8 +19,7 @@
 //!    patterns) and the aggregated [`leishen::TxCounters`].
 //! 2. **Cache behaviour** — one cold pass + one warm pass per worker
 //!    count (1/2/4/8), each with its own fresh [`leishen::TagCache`], so
-//!    the hit rate and per-shard insert skew are comparable across
-//!    configurations.
+//!    the hit rates are comparable across configurations.
 //! 3. **Sink overhead** — best-of-`reps` batch scans through the
 //!    `NoopSink` path vs the `RecordingSink` path; the recording sink is
 //!    expected to stay within a few percent.
@@ -107,9 +106,6 @@ fn main() {
         // ...warm pass shows the steady state every later batch sees.
         std::hint::black_box(engine.scan_with_cache(&detector, &records, &view, &cache));
         let warm_rate = cache.hit_rate();
-        let shards = cache.shard_stats();
-        let max_inserts = shards.iter().map(|s| s.inserts).max().unwrap_or(0);
-        let min_inserts = shards.iter().map(|s| s.inserts).min().unwrap_or(0);
         cache_rows.push(vec![
             w.to_string(),
             format!("{:.1}%", cold_rate * 100.0),
@@ -117,10 +113,9 @@ fn main() {
             cache.hits().to_string(),
             cache.misses().to_string(),
             cache.len().to_string(),
-            format!("{min_inserts}..{max_inserts}"),
         ]);
         cache_json.push(format!(
-            "    {{ \"workers\": {w}, \"cold_hit_rate\": {cold_rate:.4}, \"hit_rate\": {warm_rate:.4}, \"hits\": {}, \"misses\": {}, \"entries\": {}, \"min_shard_inserts\": {min_inserts}, \"max_shard_inserts\": {max_inserts} }}",
+            "    {{ \"workers\": {w}, \"cold_hit_rate\": {cold_rate:.4}, \"hit_rate\": {warm_rate:.4}, \"hits\": {}, \"misses\": {}, \"entries\": {} }}",
             cache.hits(),
             cache.misses(),
             cache.len(),
@@ -131,7 +126,7 @@ fn main() {
         );
     }
     print_table(
-        &["workers", "cold hits", "warm hits", "hits", "misses", "entries", "shard inserts"],
+        &["workers", "cold hits", "warm hits", "hits", "misses", "entries"],
         &cache_rows,
     );
 

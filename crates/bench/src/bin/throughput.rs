@@ -18,10 +18,15 @@
 //! `--reps` timed trials after that warm-up pass; both counts are
 //! recorded in the JSON so a reader can judge how hardened the
 //! measurement was.
+//!
+//! The speedup mixes two effects, so the output splits it: `cache_gain`
+//! (1-worker row ÷ serial loop) and `parallel_efficiency` (4-worker row ÷
+//! (1-worker row × the workers the 4-worker scans ran, which
+//! `hw_threads` caps)).
 
-use leishen::{DetectorConfig, TagCache};
+use leishen::{DetectorConfig, ScanEngine, TagCache};
 use leishen_bench::{
-    cli_f64, cli_str, cli_u64, measure_latencies, measure_latencies_cached,
+    cli_f64, cli_str, cli_u64, corpus_records, measure_latencies, measure_latencies_cached,
     measure_serial_throughput, measure_throughput, percentile, print_table, sort_samples,
     wild_world, ThroughputRun,
 };
@@ -38,18 +43,21 @@ fn keep_best(best: &mut Option<ThroughputRun>, run: ThroughputRun) {
     }
 }
 
-/// One engine configuration under measurement: a worker count, with its
-/// own steady-state cache and running best.
+/// One engine configuration under measurement: a worker count, the
+/// workers a scan of the corpus actually runs, its own steady-state
+/// cache and running best.
 struct Config {
     workers: usize,
+    effective: usize,
     cache: TagCache,
     best: Option<ThroughputRun>,
 }
 
 impl Config {
-    fn new(workers: usize) -> Config {
+    fn new(workers: usize, transactions: usize) -> Config {
         Config {
             workers,
+            effective: ScanEngine::new(workers).effective_workers(transactions),
             cache: TagCache::new(),
             best: None,
         }
@@ -81,12 +89,18 @@ fn main() {
     let (world, corpus) = wild_world(seed, scale);
     let n = corpus.len();
     let txs = || corpus.iter().map(|t| t.tx);
+    // One view for every engine trial: each configuration's cache serves
+    // the creation index it first resolved against.
+    let labels = world.detector_labels();
+    let view = world.view(&labels);
+    let records = corpus_records(&world, txs());
+    let hw_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
     println!(
         "batch-scan throughput — {n} wild flash-loan transactions (best of {trials} after {warmup} warm-up)\n"
     );
 
     // Every worker count, each with its own steady-state cache.
-    let mut configs: Vec<Config> = worker_counts.iter().map(|&w| Config::new(w)).collect();
+    let mut configs: Vec<Config> = worker_counts.iter().map(|&w| Config::new(w, n)).collect();
 
     // Warm-up: untimed passes down each path, so cold tag-cache misses,
     // page faults, lazy allocator arenas, and branch-predictor cold
@@ -95,8 +109,8 @@ fn main() {
         std::hint::black_box(measure_serial_throughput(&world, txs(), config()));
         for c in &configs {
             std::hint::black_box(measure_throughput(
-                &world,
-                txs(),
+                &view,
+                &records,
                 config(),
                 c.workers,
                 &c.cache,
@@ -114,7 +128,7 @@ fn main() {
             measure_serial_throughput(&world, txs(), config()),
         );
         for c in &mut configs {
-            let run = measure_throughput(&world, txs(), config(), c.workers, &c.cache);
+            let run = measure_throughput(&view, &records, config(), c.workers, &c.cache);
             keep_best(&mut c.best, run);
         }
     }
@@ -144,9 +158,10 @@ fn main() {
         let pct = (c.workers == 1).then_some((c50, c95, c99));
         rows.push(row(
             &format!(
-                "engine, {} worker{}",
+                "engine, {} worker{} ({} ran)",
                 c.workers,
-                if c.workers == 1 { "" } else { "s" }
+                if c.workers == 1 { "" } else { "s" },
+                c.effective
             ),
             run.tx_per_sec,
             run.tx_per_sec / serial.tx_per_sec,
@@ -158,31 +173,39 @@ fn main() {
         &rows,
     );
 
-    let speedup_at_4 = configs
-        .iter()
-        .find(|c| c.workers == 4)
-        .and_then(|c| c.best)
-        .map_or(0.0, |r| r.tx_per_sec / serial.tx_per_sec);
+    // A configuration's best rate and the workers its scans ran.
+    let best_at = |workers: usize| {
+        configs
+            .iter()
+            .find(|c| c.workers == workers)
+            .and_then(|c| Some((c.best?.tx_per_sec, c.effective)))
+    };
+    let speedup_at_4 = best_at(4).map_or(0.0, |(rate, _)| rate / serial.tx_per_sec);
+    let cache_gain = best_at(1).map_or(0.0, |(rate, _)| rate / serial.tx_per_sec);
+    let parallel_efficiency = match (best_at(1), best_at(4)) {
+        (Some((one, _)), Some((four, ran))) => four / (one * ran as f64),
+        _ => 0.0,
+    };
     if worker_counts.contains(&4) {
         println!("\nspeedup at 4 workers: {speedup_at_4:.2}× (target ≥ 2×)");
     } else {
         println!("\n(no 4-worker configuration in --workers; speedup_at_4_workers recorded as 0)");
     }
+    println!(
+        "split: cache gain {cache_gain:.2}× (1-worker engine / serial loop), parallel efficiency {parallel_efficiency:.2} (4 workers / 1 worker / workers run; {hw_threads} hardware threads; 0 = row missing)"
+    );
 
     // Steady-state cache behaviour: after the warm-up pass plus the timed
-    // trials, nearly every tag lookup should hit, and on a lightly
-    // contended scan the shards should almost never make a worker wait.
+    // trials, nearly every tag lookup should hit.
     for c in &configs {
         println!(
-            "tag cache at {} worker{}: {:.1}% hit rate ({} hits / {} misses, {} entries, {} lock waits, {} snapshot rebuilds)",
+            "tag cache at {} worker{}: {:.1}% hit rate ({} hits / {} misses, {} entries)",
             c.workers,
             if c.workers == 1 { "" } else { "s" },
             c.cache.hit_rate() * 100.0,
             c.cache.hits(),
             c.cache.misses(),
             c.cache.len(),
-            c.cache.lock_waits(),
-            c.cache.snapshot_rebuilds(),
         );
     }
 
@@ -191,8 +214,9 @@ fn main() {
         .map(|c| {
             let r = c.best.expect("trials >= 1");
             format!(
-                "    {{ \"workers\": {}, \"tx_per_sec\": {:.1}, \"speedup\": {:.3}, \"cache_hit_rate\": {:.4} }}",
+                "    {{ \"workers\": {}, \"effective_workers\": {}, \"tx_per_sec\": {:.1}, \"speedup\": {:.3}, \"cache_hit_rate\": {:.4} }}",
                 c.workers,
+                c.effective,
                 r.tx_per_sec,
                 r.tx_per_sec / serial.tx_per_sec,
                 c.cache.hit_rate()
@@ -201,7 +225,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"bench\": \"scan\",\n  \"corpus\": {{ \"seed\": {seed}, \"scale\": {scale}, \"transactions\": {n} }},\n  \"trials\": {trials},\n  \"warmup\": {warmup},\n  \"serial\": {{ \"tx_per_sec\": {:.1}, \"p50_us\": {s50:.2}, \"p95_us\": {s95:.2}, \"p99_us\": {s99:.2} }},\n  \"scan_hot_path\": {{ \"p50_us\": {c50:.2}, \"p95_us\": {c95:.2}, \"p99_us\": {c99:.2} }},\n  \"parallel\": [\n{sweep}\n  ],\n  \"speedup_at_4_workers\": {speedup_at_4:.3}\n}}\n",
+        "{{\n  \"bench\": \"scan\",\n  \"corpus\": {{ \"seed\": {seed}, \"scale\": {scale}, \"transactions\": {n} }},\n  \"hw_threads\": {hw_threads},\n  \"trials\": {trials},\n  \"warmup\": {warmup},\n  \"serial\": {{ \"tx_per_sec\": {:.1}, \"p50_us\": {s50:.2}, \"p95_us\": {s95:.2}, \"p99_us\": {s99:.2} }},\n  \"scan_hot_path\": {{ \"p50_us\": {c50:.2}, \"p95_us\": {c95:.2}, \"p99_us\": {c99:.2} }},\n  \"parallel\": [\n{sweep}\n  ],\n  \"speedup_at_4_workers\": {speedup_at_4:.3},\n  \"cache_gain\": {cache_gain:.3},\n  \"parallel_efficiency\": {parallel_efficiency:.3}\n}}\n",
         serial.tx_per_sec,
     );
     std::fs::write("BENCH_scan.json", &json).expect("write BENCH_scan.json");

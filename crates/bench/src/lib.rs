@@ -21,7 +21,7 @@
 use std::time::Instant;
 
 use ethsim::TxRecord;
-use leishen::{DetectorConfig, LeiShen, ScanEngine, TagCache};
+use leishen::{ChainView, DetectorConfig, LeiShen, ScanEngine, TagCache};
 use leishen_scenarios::generator::{generate, GeneratorConfig};
 use leishen_scenarios::{run_all_attacks, ExecutedAttack, GeneratedTx, World};
 
@@ -221,27 +221,26 @@ pub fn measure_serial_throughput(
 }
 
 /// Times a [`ScanEngine`] batch scan at the given worker count — the
-/// batch-scanning twin of [`measure_latencies`]. Replay happens outside
-/// the timed region. The caller provides the shared [`TagCache`] so it
-/// persists across batches, which is the engine's steady state: a scanner
-/// that processes corpus after corpus over the same chain keeps one cache
-/// alive (that is what [`ScanEngine::scan_with_cache`] is for), so only
-/// the very first batch pays the cold tag-resolution misses. Pass a fresh
-/// cache to time a cold scan instead.
+/// batch-scanning twin of [`measure_latencies`]. The caller replays the
+/// records and builds the view once, outside the timed region, and
+/// provides the shared [`TagCache`] so it persists across batches, which
+/// is the engine's steady state: a scanner that processes corpus after
+/// corpus over the same chain keeps one cache alive (that is what
+/// [`ScanEngine::scan_with_cache`] is for), so only the very first batch
+/// pays the cold tag-resolution misses. A cache serves the one view it
+/// first resolved against. Pass a fresh cache to time a cold scan
+/// instead.
 pub fn measure_throughput(
-    world: &World,
-    txs: impl Iterator<Item = ethsim::TxId>,
+    view: &ChainView<'_>,
+    records: &[&TxRecord],
     config: DetectorConfig,
     workers: usize,
     cache: &TagCache,
 ) -> ThroughputRun {
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
     let detector = LeiShen::new(config);
-    let records = corpus_records(world, txs);
     let engine = ScanEngine::new(workers);
     let start = Instant::now();
-    let analyses = engine.scan_with_cache(&detector, &records, &view, cache);
+    let analyses = engine.scan_with_cache(&detector, records, view, cache);
     let secs = start.elapsed().as_secs_f64();
     std::hint::black_box(&analyses);
     ThroughputRun::from_elapsed(workers, records.len(), secs)

@@ -88,7 +88,7 @@ pub use resilience::{
     install_quiet_hook, Fault, FaultInjector, FaultPlan, InducedFault, InputFault, IoFault,
     IoFaultPlan, PlannedFault, Quarantine, ResilienceConfig, ResilientScan,
 };
-pub use scan::{LocalTagCache, ScanEngine, ScanStats, ShardStat, TagCache};
+pub use scan::{LocalTagCache, ScanEngine, ScanStats, TagCache};
 pub use sched::WavePlan;
 pub use simplify::{
     simplify, simplify_into, simplify_into_observed, DropRule, SimplifyAction, SimplifyStats,

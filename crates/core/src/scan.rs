@@ -9,10 +9,11 @@
 //!
 //! This module adds two pieces:
 //!
-//! * [`TagCache`] — a sharded, concurrent `Address → Tag` memo table.
-//!   Resolution goes through the cache once per distinct address *per
-//!   corpus* instead of per transaction. The cache is only valid for one
-//!   `(labels, creations)` context; build a fresh one per [`ChainView`].
+//! * [`TagCache`] — a concurrent `Address → Tag` memo with one slot per
+//!   account of the view's creation index. Resolution goes through the
+//!   cache once per distinct address *per corpus* instead of per
+//!   transaction. The cache is only valid for one `(labels, creations)`
+//!   context; build a fresh one per [`ChainView`].
 //! * [`ScanEngine`] — cuts a batch into input-order chunks and fans them
 //!   over a worker pool (the calling thread is one of the workers), each
 //!   worker claiming the next chunk from a shared counter and every
@@ -32,14 +33,12 @@
 //! ```
 
 use std::any::Any;
-use std::collections::HashMap;
-use std::hash::Hasher;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::OnceLock;
 
-use ethsim::{validate_record, Address, BuildFnv, CreationIndex, FnvHasher, TxRecord};
-use parking_lot::{Mutex, RwLock};
+use ethsim::{validate_record, Address, CreationIndex, TxRecord};
+use parking_lot::Mutex;
 
 use crate::detector::{Analysis, AnalysisScratch, ChainView, LeiShen};
 use crate::labels::Labels;
@@ -51,61 +50,36 @@ use crate::tagging::{tag_of, Tag};
 use crate::telemetry::{MetricsSink, NoopSink, RecordingSink};
 use crate::trace::{Decision, FlightRecorder, NoopTracer, Reason, TraceBuilder, TraceSink};
 
-/// Number of independent lock shards. A power of two so the shard index
-/// is a mask; 16 keeps contention negligible for any realistic worker
-/// count while staying cache-friendly.
-pub const SHARD_COUNT: usize = 16;
-
-type TagMapInner = HashMap<Address, Tag, BuildFnv>;
-
-/// A sharded, concurrent memo table for [`tag_of`] results.
+/// A memo of [`tag_of`] results: one slot per account of one
+/// [`CreationIndex`].
 ///
 /// Tags depend only on `(address, labels, creations)`, and a scan runs
-/// against one fixed [`ChainView`], so resolutions can be shared freely
-/// across transactions and across worker threads. Each shard is an
-/// independent `RwLock<HashMap>`; lookups take a read lock, inserts a
-/// write lock on one shard only. Shards are keyed with FNV
-/// ([`ethsim::FnvHasher`]): the cache probe is the hot path's single most
-/// frequent operation, and its keys come from the chain.
+/// against one fixed [`ChainView`], so resolutions are shared freely
+/// across transactions and across worker threads. The memo is a flat
+/// array of `OnceLock<Tag>` indexed by the creation index's dense account
+/// ids ([`CreationIndex::id`]), allocated at the cache's first lookup: 32
+/// bytes per indexed account. A lookup is one id probe and one atomic
+/// load, with no lock. The first lookup of an account runs [`tag_of`]
+/// exactly once; a concurrent lookup of the same account waits for that
+/// run instead of repeating it.
 ///
-/// Worker fronts ([`LocalTagCache`]) read a lock-free snapshot: one merge
-/// of every shard, rebuilt only once the cache holds at least twice the
-/// snapshot's entries. A cache that grows block by block (a stream over a
-/// cold cache) therefore pays merge work proportional to its final size
-/// in total — a rebuild at every doubling — and addresses newer than the
-/// snapshot are answered by the shards.
+/// The cache binds to the index of its first lookup and panics when
+/// handed another one: its slots are that index's ids, which name other
+/// accounts in another index (a clone is the same index). Build one cache
+/// per [`ChainView`]; a fresh cache is also how to reset one.
 ///
-/// The zero address short-circuits to [`Tag::BlackHole`] without touching
-/// the table.
+/// An account outside the index (no creation record) has no slot: its tag
+/// is its label or `Tag::Root(addr)`, computed on the spot and counted as
+/// neither a hit nor a miss, like the zero address, which short-circuits
+/// to [`Tag::BlackHole`]. Once every [`LocalTagCache`] over the cache is
+/// dropped, [`TagCache::misses`] therefore equals [`TagCache::len`].
 #[derive(Debug, Default)]
 pub struct TagCache {
-    shards: [RwLock<TagMapInner>; SHARD_COUNT],
+    /// The [`CreationIndex::stamp`] of the index whose ids the slots follow,
+    /// and the slots.
+    memo: OnceLock<(u64, Box<[OnceLock<Tag>]>)>,
     hits: AtomicU64,
-    // Misses are tallied per shard: every miss takes that shard's write
-    // lock (the only contended operation), so the per-shard miss counts
-    // double as the cache's contention profile.
-    shard_misses: [AtomicU64; SHARD_COUNT],
-    // Lock acquisitions that found the shard already held (the try-lock
-    // fast path failed and the caller had to wait).
-    shard_lock_waits: [AtomicU64; SHARD_COUNT],
-    // A frozen merge of every shard at its last rebuild. Entries are
-    // immutable once inserted, so a stale snapshot is only ever *missing*
-    // addresses, never wrong about one — until `clear`, which resets it.
-    snapshot: RwLock<Arc<TagMapInner>>,
-    snapshot_rebuilds: AtomicU64,
-}
-
-/// Telemetry snapshot of one [`TagCache`] shard.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStat {
-    /// Distinct addresses currently cached in the shard.
-    pub entries: usize,
-    /// Misses routed to the shard — each one took the shard's write
-    /// lock, so this is the shard's share of write contention.
-    pub inserts: u64,
-    /// Lock acquisitions on the shard that found it already held and had
-    /// to wait (read or write).
-    pub lock_waits: u64,
+    misses: AtomicU64,
 }
 
 impl TagCache {
@@ -114,98 +88,54 @@ impl TagCache {
         TagCache::default()
     }
 
-    fn shard_index(&self, addr: Address) -> usize {
-        let mut h = FnvHasher::default();
-        h.write(addr.as_bytes());
-        (h.finish() as usize) & (SHARD_COUNT - 1)
-    }
-
-    /// The tag of `addr`, from the cache when present, computed (and
-    /// cached) via [`tag_of`] otherwise.
+    /// The tag of `addr`, from the memo when present, computed (and
+    /// memoized) via [`tag_of`] otherwise.
+    ///
+    /// # Panics
+    ///
+    /// When `creations` is not the index of this cache's first lookup.
     pub fn resolve(&self, addr: Address, labels: &Labels, creations: &CreationIndex) -> Tag {
-        if addr.is_zero() {
-            return Tag::BlackHole;
-        }
-        let idx = self.shard_index(addr);
-        let shard = &self.shards[idx];
-        // Try-lock first so contention is *observable*: a failed try is
-        // exactly one would-have-blocked acquisition, counted before
-        // falling back to the blocking path.
-        {
-            let guard = shard.try_read().unwrap_or_else(|| {
-                self.shard_lock_waits[idx].fetch_add(1, Ordering::Relaxed);
-                shard.read()
-            });
-            if let Some(tag) = guard.get(&addr) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return tag.clone();
-            }
-        }
-        self.shard_misses[idx].fetch_add(1, Ordering::Relaxed);
-        let tag = tag_of(addr, labels, creations);
-        let mut guard = shard.try_write().unwrap_or_else(|| {
-            self.shard_lock_waits[idx].fetch_add(1, Ordering::Relaxed);
-            shard.write()
+        LocalTagCache::new(self).resolve(addr, labels, creations)
+    }
+
+    /// The slots of `creations`' ids, allocated at the first lookup.
+    #[inline]
+    fn slots(&self, creations: &CreationIndex) -> &[OnceLock<Tag>] {
+        let (index, slots) = self.memo.get_or_init(|| {
+            let slots = (0..creations.len()).map(|_| OnceLock::new()).collect();
+            (creations.stamp(), slots)
         });
-        guard.insert(addr, tag.clone());
-        tag
+        assert!(
+            *index == creations.stamp(),
+            "a TagCache serves one CreationIndex: build one cache per ChainView"
+        );
+        slots
     }
 
-    /// A frozen, lock-free view of the cache, shared by reference. Worker
-    /// fronts ([`LocalTagCache`]) probe this map with no lock and no
-    /// per-worker copy. It is rebuilt (one merge pass over the shards)
-    /// only once the cache holds at least twice its entries, so taking a
-    /// snapshot is usually one `Arc` clone, and the view may lack up to
-    /// half of the cached addresses.
-    pub(crate) fn snapshot(&self) -> Arc<TagMapInner> {
-        let entries = self.len();
-        let stale = |snap: &TagMapInner| entries > 0 && entries >= 2 * snap.len();
-        {
-            let snap = self.snapshot.read();
-            if !stale(&snap) {
-                return Arc::clone(&snap);
-            }
-        }
-        let mut snap = self.snapshot.write();
-        // Double-checked: another worker may have rebuilt while this one
-        // waited on the write lock.
-        if !stale(&snap) {
-            return Arc::clone(&snap);
-        }
-        let mut merged = TagMapInner::with_capacity_and_hasher(entries, BuildFnv::default());
-        for shard in &self.shards {
-            for (addr, tag) in shard.read().iter() {
-                merged.insert(*addr, tag.clone());
-            }
-        }
-        self.snapshot_rebuilds.fetch_add(1, Ordering::Relaxed);
-        *snap = Arc::new(merged);
-        Arc::clone(&snap)
-    }
-
-    /// How many times the frozen view behind [`LocalTagCache`] was
-    /// rebuilt (0 ⇒ never taken, or taken only over an empty cache). A
-    /// rebuild happens each time the cache doubles past the last one, so
-    /// a cache grown to `n` entries has been rebuilt at most about
-    /// `log2(n) + 1` times however many fronts were built over it.
+    /// Always 0 (there is no snapshot): kept only for the benchmark's
+    /// `tagging.snapshot_rebuilds` row.
     pub fn snapshot_rebuilds(&self) -> u64 {
-        self.snapshot_rebuilds.load(Ordering::Relaxed)
+        0
     }
 
-    /// Number of lookups answered from the cache.
+    /// Always 0 (lookups take no lock): kept only for the benchmark's
+    /// `tagging.lock_waits` row.
+    pub fn lock_waits(&self) -> u64 {
+        0
+    }
+
+    /// Number of lookups answered from the memo.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of lookups that had to compute a fresh tag.
+    /// Number of lookups that had to compute a fresh tag: one per filled
+    /// slot.
     pub fn misses(&self) -> u64 {
-        self.shard_misses
-            .iter()
-            .map(|m| m.load(Ordering::Relaxed))
-            .sum()
+        self.misses.load(Ordering::Relaxed)
     }
 
-    /// Fraction of lookups answered from the cache (0 when untouched).
+    /// Fraction of lookups answered from the memo (0 when untouched).
     pub fn hit_rate(&self) -> f64 {
         let hits = self.hits();
         let total = hits + self.misses();
@@ -216,114 +146,64 @@ impl TagCache {
         }
     }
 
-    /// Per-shard entry and write (miss) counts — the cache's contention
-    /// profile, surfaced by the `obs` telemetry bin.
-    pub fn shard_stats(&self) -> [ShardStat; SHARD_COUNT] {
-        let mut out = [ShardStat::default(); SHARD_COUNT];
-        for (i, slot) in out.iter_mut().enumerate() {
-            slot.entries = self.shards[i].read().len();
-            slot.inserts = self.shard_misses[i].load(Ordering::Relaxed);
-            slot.lock_waits = self.shard_lock_waits[i].load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    /// Total shard-lock acquisitions that had to wait, across all shards
-    /// — the cache's aggregate contention signal, next to
-    /// [`TagCache::snapshot_rebuilds`] and the hit rate.
-    pub fn lock_waits(&self) -> u64 {
-        self.shard_lock_waits
-            .iter()
-            .map(|m| m.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Number of distinct addresses currently cached.
+    /// Number of accounts with a memoized tag (one pass over the slots).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        let Some((_, slots)) = self.memo.get() else {
+            return 0;
+        };
+        slots.iter().filter(|s| s.get().is_some()).count()
     }
 
-    /// Whether no address has been cached yet.
+    /// Whether no tag has been memoized yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops all cached tags and resets the hit/miss counters. Call this
-    /// when the label cloud or creation dataset changes.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        for m in &self.shard_misses {
-            m.store(0, Ordering::Relaxed);
-        }
-        for m in &self.shard_lock_waits {
-            m.store(0, Ordering::Relaxed);
-        }
-        // The frozen view holds tags of the old context: drop it, or the
-        // next fronts would answer from it until the cache doubled again.
-        *self.snapshot.write() = Arc::default();
-    }
 }
 
-/// A worker-private front for a shared [`TagCache`].
+/// One worker's hit/miss tally over a shared [`TagCache`].
 ///
-/// A scan worker resolves the same handful of venue / provider / token
-/// addresses on nearly every transaction. This layer answers those
-/// repeats from the cache's frozen snapshot and an unsynchronized local
-/// overlay — no lock, no shard hash, no atomic — and only falls through
-/// to the shared cache on a local miss, so tags computed by one worker
-/// still reach the others. The snapshot is rebuilt only when the cache
-/// has doubled since the last rebuild, so building a front is cheap even
-/// while the cache grows; addresses the snapshot lacks cost one shard
-/// probe per front, then live in the overlay.
-///
-/// Local hits count toward the shared cache's [`TagCache::hits`] counter;
-/// the tally is flushed when the `LocalTagCache` is dropped.
+/// Memo reads take no lock, so a worker needs no private copy of the
+/// cache. The front only keeps the worker's hit and miss counts off the
+/// shared counters, which every worker would otherwise write on every
+/// lookup, and adds them to [`TagCache::hits`] and [`TagCache::misses`]
+/// when dropped.
 pub struct LocalTagCache<'a> {
     shared: &'a TagCache,
-    // The shared cache's frozen view at construction time: probed with
-    // no lock, no atomic, and no per-worker copy. Over a warm cache this
-    // answers essentially every lookup.
-    snapshot: Arc<TagMapInner>,
-    // Addresses this front resolved that the snapshot lacks: new ones,
-    // and cached ones newer than the last rebuild. They reach other
-    // workers through the shared cache and join the snapshot when the
-    // cache next doubles.
-    overlay: TagMapInner,
     hits: u64,
+    misses: u64,
 }
 
 impl<'a> LocalTagCache<'a> {
-    /// A front over `shared`, seeded with its snapshot, which is rebuilt
-    /// first if the cache has doubled since the last rebuild.
+    /// A front over `shared`.
     pub fn new(shared: &'a TagCache) -> Self {
         LocalTagCache {
             shared,
-            snapshot: shared.snapshot(),
-            overlay: TagMapInner::default(),
             hits: 0,
+            misses: 0,
         }
     }
 
-    /// The tag of `addr` — snapshot first, local overlay second, shared
-    /// cache third, [`tag_of`] last.
+    /// The tag of `addr`, as [`TagCache::resolve`] gives it.
+    #[inline]
     pub fn resolve(&mut self, addr: Address, labels: &Labels, creations: &CreationIndex) -> Tag {
         if addr.is_zero() {
             return Tag::BlackHole;
         }
-        if let Some(tag) = self.snapshot.get(&addr) {
+        let slots = self.shared.slots(creations);
+        let Some(id) = creations.id(addr) else {
+            return tag_of(addr, labels, creations);
+        };
+        let mut missed = false;
+        let tag = slots[id as usize].get_or_init(|| {
+            missed = true;
+            tag_of(addr, labels, creations)
+        });
+        if missed {
+            self.misses += 1;
+        } else {
             self.hits += 1;
-            return tag.clone();
         }
-        if let Some(tag) = self.overlay.get(&addr) {
-            self.hits += 1;
-            return tag.clone();
-        }
-        let tag = self.shared.resolve(addr, labels, creations);
-        self.overlay.insert(addr, tag.clone());
-        tag
+        tag.clone()
     }
 }
 
@@ -331,6 +211,9 @@ impl Drop for LocalTagCache<'_> {
     fn drop(&mut self) {
         if self.hits > 0 {
             self.shared.hits.fetch_add(self.hits, Ordering::Relaxed);
+        }
+        if self.misses > 0 {
+            self.shared.misses.fetch_add(self.misses, Ordering::Relaxed);
         }
     }
 }
@@ -350,19 +233,6 @@ pub struct ScanStats {
     /// [`ScanEngine::scan_resilient`] — the legacy scans have no
     /// quarantine path).
     pub quarantined: usize,
-}
-
-impl ScanStats {
-    /// Fraction of tag lookups answered from the cache (0 for an empty
-    /// scan).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
 }
 
 /// A batch scanner: fans transactions over a worker pool sharing one
@@ -413,6 +283,17 @@ impl ScanEngine {
     /// Configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// Workers a scan of `txs` transactions runs: the configured count,
+    /// capped by the chunk count and (unless oversubscribed) hardware threads.
+    pub fn effective_workers(&self, txs: usize) -> usize {
+        let hw = if self.oversubscribe {
+            usize::MAX
+        } else {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        };
+        self.workers.min(hw).min(txs.div_ceil(self.chunk_size))
     }
 
     /// Scans `txs` with a fresh internal cache, returning one [`Analysis`]
@@ -603,15 +484,7 @@ impl ScanEngine {
         if txs.is_empty() {
             return Vec::new();
         }
-        let hw = if self.oversubscribe {
-            usize::MAX
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        };
-        let workers = self
-            .workers
-            .min(hw)
-            .min(txs.len().div_ceil(self.chunk_size));
+        let workers = self.effective_workers(txs.len());
         if workers <= 1 {
             let mut tags = LocalTagCache::new(cache);
             let mut scratch = AnalysisScratch::default();
@@ -951,106 +824,41 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let labels = Labels::new();
-        let idx = CreationIndex::new(&[]);
+    fn accounts_outside_the_index_use_no_slot() {
+        // 50 is labelled and 60 is not; neither has a creation record.
+        let mut labels = Labels::new();
+        labels.set(Address::from_u64(50), "Aave");
+        let idx = CreationIndex::new(&[rec(1, 2)]);
         let cache = TagCache::new();
-        cache.resolve(Address::from_u64(5), &labels, &idx);
-        cache.resolve(Address::from_u64(5), &labels, &idx);
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 0);
+        let mut front = LocalTagCache::new(&cache);
+        for _ in 0..2 {
+            let aave = front.resolve(Address::from_u64(50), &labels, &idx);
+            assert_eq!(aave, Tag::App("Aave".into()));
+            let root = front.resolve(Address::from_u64(60), &labels, &idx);
+            assert_eq!(root, Tag::Root(Address::from_u64(60)));
+        }
+        front.resolve(Address::from_u64(2), &labels, &idx);
+        drop(front);
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 1, 1));
+        assert_eq!(cache.hit_rate(), 0.0);
+        cache.resolve(Address::from_u64(2), &labels, &idx);
+        assert_eq!(cache.hit_rate(), 0.5);
     }
 
     #[test]
-    fn growing_cache_rebuilds_its_snapshot_only_when_it_doubles() {
-        // `k` new addresses per front over `m` fronts, as a stream over a
-        // cold cache grows it block by block. Rebuilding on every growth
-        // would cost m - 1 rebuilds; doubling bounds them by log2(m) + 1.
-        let (k, m) = (7u64, 100u64);
-        // A binary creation tree under address 1, with a conflicting
-        // label at 3: the tags are a mix of App and Unknown.
-        let mut labels = Labels::new();
-        labels.set(Address::from_u64(1), "Uniswap");
-        labels.set(Address::from_u64(3), "Curve");
-        let records: Vec<CreationRecord> = (2..=k * m).map(|a| rec(a / 2, a)).collect();
+    #[should_panic(expected = "a TagCache serves one CreationIndex")]
+    fn cache_refuses_a_second_index() {
+        let labels = Labels::new();
+        let records = [rec(1, 2)];
         let idx = CreationIndex::new(&records);
         let cache = TagCache::new();
-        for front_no in 0..m {
-            let mut front = LocalTagCache::new(&cache);
-            // Every address cached so far (some newer than the last
-            // rebuild, so missing from the snapshot) and `k` new ones.
-            for a in 1..=k * (front_no + 1) {
-                let addr = Address::from_u64(a);
-                assert_eq!(
-                    front.resolve(addr, &labels, &idx),
-                    tag_of(addr, &labels, &idx),
-                    "front {front_no} address {a}"
-                );
-            }
-        }
-        assert_eq!(cache.len() as u64, k * m);
-        let bound = u64::from((m as f64).log2().ceil() as u32) + 1;
-        assert!(
-            cache.snapshot_rebuilds() <= bound,
-            "{} rebuilds over {m} fronts, bound {bound}",
-            cache.snapshot_rebuilds()
-        );
-        // Misses are first resolutions only: nothing was computed twice.
-        assert_eq!(cache.misses(), k * m);
-    }
-
-    #[test]
-    fn clear_drops_the_snapshot_with_the_tags() {
-        // Fill the cache and freeze it into a snapshot, then change the
-        // label cloud: after `clear` the next front must not answer from
-        // the old snapshot, although the refilled cache is far smaller.
-        let idx = CreationIndex::new(&[rec(1, 2)]);
-        let mut labels = Labels::new();
-        labels.set(Address::from_u64(1), "Yearn");
-        let cache = TagCache::new();
-        for a in 1u64..=40 {
-            cache.resolve(Address::from_u64(a), &labels, &idx);
-        }
-        let pool = Address::from_u64(2);
-        assert_eq!(
-            LocalTagCache::new(&cache).resolve(pool, &labels, &idx),
-            Tag::App("Yearn".into())
-        );
-        assert_eq!(cache.snapshot_rebuilds(), 1);
-
-        labels.set(Address::from_u64(1), "Uniswap");
-        cache.clear();
-        let relabeled = Tag::App("Uniswap".into());
-        assert_eq!(
-            LocalTagCache::new(&cache).resolve(pool, &labels, &idx),
-            relabeled
-        );
-        // And once the refilled cache is snapshotted again.
-        assert_eq!(
-            LocalTagCache::new(&cache).resolve(pool, &labels, &idx),
-            relabeled
-        );
-        assert_eq!(cache.snapshot_rebuilds(), 2);
-    }
-
-    #[test]
-    fn shard_stats_cover_every_miss() {
-        let labels = Labels::new();
-        let idx = CreationIndex::new(&[rec(1, 2)]);
-        let cache = TagCache::new();
-        for a in 1u64..=40 {
-            cache.resolve(Address::from_u64(a), &labels, &idx);
-        }
-        let stats = cache.shard_stats();
-        assert_eq!(stats.iter().map(|s| s.inserts).sum::<u64>(), cache.misses());
-        assert_eq!(stats.iter().map(|s| s.entries).sum::<usize>(), cache.len());
-        assert_eq!(cache.misses(), 40);
-        assert_eq!(cache.hit_rate(), 0.0);
-        cache.resolve(Address::from_u64(1), &labels, &idx);
-        assert!(cache.hit_rate() > 0.0);
+        let a = Address::from_u64(2);
+        cache.resolve(a, &labels, &idx);
+        // A clone is the same index...
+        let root = Tag::Root(Address::from_u64(1));
+        assert_eq!(cache.resolve(a, &labels, &idx.clone()), root);
+        // ...a second build, even from the same records, is not.
+        cache.resolve(a, &labels, &CreationIndex::new(&records));
     }
 
     #[test]

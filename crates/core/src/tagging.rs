@@ -295,6 +295,16 @@ mod tests {
     }
 
     #[test]
+    fn tag_of_returns_on_a_creation_cycle() {
+        // Corrupted records a -> b -> a, no labels: both walks stop at
+        // their bounds, and the 1024th ancestor of `a` is `a` itself.
+        let a = Address::from_u64(31);
+        let b = Address::from_u64(32);
+        let idx = CreationIndex::new(&[rec(a, b), rec(b, a)]);
+        assert_eq!(tag_of(a, &Labels::new(), &idx), Tag::Root(a));
+    }
+
+    #[test]
     fn black_hole_is_special() {
         let labels = Labels::new();
         let idx = CreationIndex::new(&[]);

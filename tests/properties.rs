@@ -19,7 +19,7 @@ use leishen::simplify::{merge_inter_app, remove_intra_app};
 use leishen::tagging::{Tag, TagMap, TaggedTransfer};
 use leishen::trades::{identify_trades, Trade, TradeKind, TradeSide};
 use leishen::tagging::tag_of;
-use leishen::{patterns, Labels, TagCache};
+use leishen::{patterns, Labels, LocalTagCache, TagCache};
 
 /// The random creation-forest family of the tagging properties: the
 /// addresses `1000..1000 + chain + 20`. The first `chain` form one chain
@@ -394,6 +394,53 @@ proptest! {
         // bypasses the table entirely).
         prop_assert_eq!(cache.hits(), addrs.len() as u64 - 1);
         prop_assert_eq!(cache.misses(), addrs.len() as u64 - 1);
+    }
+
+    #[test]
+    fn concurrent_fronts_fill_each_slot_exactly_once(
+        seed in 0u64..1_000,
+        chain in 0u64..160,
+        spacing in 2u64..40
+    ) {
+        // Four threads (more than a small host runs at once), each with
+        // its own front over one cache, resolve the whole forest from
+        // staggered starting points, plus the zero address and an account
+        // outside the index. Whatever the interleaving, every tag equals
+        // `tag_of`, each indexed account is computed exactly once, and
+        // every indexed lookup is a hit or a miss; the two unindexed ones
+        // are neither.
+        let (forest, labels, records) = creation_forest(seed, chain, spacing);
+        let idx = CreationIndex::new(&records);
+        let expected: Vec<Tag> = forest.iter().map(|&a| tag_of(a, &labels, &idx)).collect();
+        let outside = [Address::ZERO, Address::from_u64(99)];
+        let cache = TagCache::new();
+        let start = std::sync::Barrier::new(4);
+        let n = forest.len();
+        let agreed = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|t| {
+                    let (forest, labels, idx) = (&forest, &labels, &idx);
+                    let (expected, cache, start) = (&expected, &cache, &start);
+                    s.spawn(move || {
+                        let mut front = LocalTagCache::new(cache);
+                        start.wait();
+                        let indexed = (0..n).all(|k| {
+                            let i = (t * n / 4 + k) % n;
+                            front.resolve(forest[i], labels, idx) == expected[i]
+                        });
+                        indexed
+                            && outside
+                                .iter()
+                                .all(|&a| front.resolve(a, labels, idx) == tag_of(a, labels, idx))
+                    })
+                })
+                .collect();
+            threads.into_iter().all(|t| t.join().expect("resolver thread"))
+        });
+        prop_assert!(agreed);
+        prop_assert_eq!(cache.misses(), n as u64);
+        prop_assert_eq!(cache.hits() + cache.misses(), 4 * n as u64);
+        prop_assert_eq!(cache.len(), n);
     }
 
     #[test]
