@@ -383,11 +383,6 @@ impl IoFault {
             IoFault::FailedFsync => "failed_fsync",
         }
     }
-
-    /// Inverse of [`IoFault::name`].
-    pub fn from_name(name: &str) -> Option<IoFault> {
-        IoFault::ALL.into_iter().find(|f| f.name() == name)
-    }
 }
 
 /// One planned storage fault: a kind plus the seed that resolves its

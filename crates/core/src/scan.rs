@@ -287,11 +287,17 @@ impl ScanEngine {
 
     /// Workers a scan of `txs` transactions runs: the configured count,
     /// capped by the chunk count and (unless oversubscribed) hardware threads.
+    ///
+    /// The hardware thread count is read once per process and kept in a
+    /// `OnceLock`: `std::thread::available_parallelism` parses the cgroup
+    /// CPU quota on every call, several read syscalls, and a stream calls
+    /// this once per block.
     pub fn effective_workers(&self, txs: usize) -> usize {
+        static HW_THREADS: OnceLock<usize> = OnceLock::new();
         let hw = if self.oversubscribe {
             usize::MAX
         } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            *HW_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         };
         self.workers.min(hw).min(txs.div_ceil(self.chunk_size))
     }

@@ -390,7 +390,9 @@ impl<M: Media> VerdictJournal<M> {
 
     /// Writes and flushes a [`Checkpoint`] frame at the current
     /// position (flushed even under lazy fsync policies — a checkpoint
-    /// that can be lost is not a checkpoint).
+    /// that can be lost is not a checkpoint; under
+    /// [`super::FsyncPolicy::Always`] the append's own flush is the only
+    /// one).
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         let cp = Checkpoint {
             blocks: self.blocks.len() as u64,
@@ -580,6 +582,35 @@ mod tests {
         let (journal, report) = VerdictJournal::open(survivor, config, 7).unwrap();
         assert!(report.log.truncated, "the torn checkpoint frame was cut");
         assert_eq!(journal.durable_prefix(), vec![(0, 1)]);
+    }
+
+    #[test]
+    fn always_policy_flushes_once_per_frame() {
+        let n = 40;
+        let (mut journal, _) =
+            VerdictJournal::open(MemMedia::new(), JournalConfig::default(), 7).unwrap();
+        for i in 0..n {
+            journal.append_block(i, i, &[quarantined(i, 0)]).unwrap();
+        }
+        let m = journal.log_metrics();
+        assert_eq!(m.rotations, 0);
+        assert_eq!(journal.checkpoints(), n / 16 + 1);
+        assert_eq!(m.flushes, n + n / 16 + 1);
+        assert_eq!(m.flushes, m.frames);
+    }
+
+    #[test]
+    fn a_checkpoint_flushes_under_every_n() {
+        use super::super::FsyncPolicy;
+
+        let log = LogConfig { fsync: FsyncPolicy::EveryN(4), ..LogConfig::default() };
+        let config = JournalConfig { log, checkpoint_interval: 2 };
+        let (mut journal, _) = VerdictJournal::open(MemMedia::new(), config, 7).unwrap();
+        assert_eq!(journal.log_metrics().flushes, 1, "the genesis checkpoint flushes");
+        journal.append_block(0, 0, &[quarantined(0, 0)]).unwrap();
+        assert_eq!(journal.log_metrics().flushes, 1, "two frames are below EveryN(4)");
+        journal.append_block(1, 1, &[quarantined(1, 0)]).unwrap();
+        assert_eq!(journal.log_metrics().flushes, 2, "the interval's checkpoint flushes");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! exactly the bytes a post-crash reopen would see.
 
 use std::collections::BTreeMap;
-use std::fs;
+use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -161,9 +161,22 @@ impl Media for MemMedia {
 /// quickstart runs; everything the crash campaign proves on
 /// [`MemMedia`] holds here because both sit under the same
 /// [`SegmentLog`](super::SegmentLog) recovery path.
+///
+/// The log appends and flushes one segment frame after frame, so the
+/// device keeps the open `File` of the segment it last appended to or
+/// flushed, and opens a segment again only when asked for another one;
+/// `truncate` and `remove` drop the handle of their segment. Creating
+/// and removing a segment change the directory, which is durable only
+/// once the directory itself is synced: a created segment's first
+/// `flush` syncs the directory too, and every `remove` syncs it before
+/// returning.
 #[derive(Debug)]
 pub struct DirMedia {
     dir: PathBuf,
+    /// The segment last appended to or flushed, and its open handle.
+    held: Option<(String, File)>,
+    /// A segment was created since the directory was last synced.
+    dir_unsynced: bool,
 }
 
 impl DirMedia {
@@ -172,11 +185,47 @@ impl DirMedia {
         let dir = dir.into();
         fs::create_dir_all(&dir)
             .map_err(|e| StoreError::io(format!("create {}: {e}", dir.display())))?;
-        Ok(DirMedia { dir })
+        Ok(DirMedia { dir, held: None, dir_unsynced: false })
     }
 
     fn path(&self, name: &str) -> PathBuf {
         self.dir.join(name)
+    }
+
+    /// The open handle of `name`, opened for appending (and created when
+    /// `create` is set and it does not exist) unless it is already held.
+    fn handle(&mut self, name: &str, create: bool) -> Result<&mut File, StoreError> {
+        if self.held.as_ref().is_none_or(|(held, _)| held != name) {
+            self.held = None;
+            let path = self.path(name);
+            let file = match fs::OpenOptions::new().append(true).open(&path) {
+                Err(e) if create && e.kind() == std::io::ErrorKind::NotFound => {
+                    self.dir_unsynced = true;
+                    fs::OpenOptions::new().create(true).append(true).open(&path)
+                }
+                opened => opened,
+            }
+            .map_err(|e| StoreError::io(format!("open {name}: {e}")))?;
+            self.held = Some((name.to_string(), file));
+        }
+        Ok(&mut self.held.as_mut().expect("handle just opened").1)
+    }
+
+    /// Drops the held handle if it is `name`'s.
+    fn release(&mut self, name: &str) {
+        if self.held.as_ref().is_some_and(|(held, _)| held == name) {
+            self.held = None;
+        }
+    }
+
+    /// Makes the directory's entries (created and removed segments)
+    /// durable.
+    fn sync_dir(&mut self) -> Result<(), StoreError> {
+        File::open(&self.dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| StoreError::io(format!("fsync {}: {e}", self.dir.display())))?;
+        self.dir_unsynced = false;
+        Ok(())
     }
 }
 
@@ -199,25 +248,23 @@ impl Media for DirMedia {
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(name))
-            .map_err(|e| StoreError::io(format!("open {name}: {e}")))?;
-        file.write_all(bytes)
+        self.handle(name, true)?
+            .write_all(bytes)
             .map_err(|e| StoreError::io(format!("append {name}: {e}")))
     }
 
     fn flush(&mut self, name: &str) -> Result<(), StoreError> {
-        let file = fs::OpenOptions::new()
-            .append(true)
-            .open(self.path(name))
-            .map_err(|e| StoreError::io(format!("open {name}: {e}")))?;
-        file.sync_data()
-            .map_err(|e| StoreError::io(format!("fsync {name}: {e}")))
+        self.handle(name, false)?
+            .sync_data()
+            .map_err(|e| StoreError::io(format!("fsync {name}: {e}")))?;
+        if self.dir_unsynced {
+            self.sync_dir()?;
+        }
+        Ok(())
     }
 
     fn truncate(&mut self, name: &str, len: u64) -> Result<(), StoreError> {
+        self.release(name);
         let file = fs::OpenOptions::new()
             .write(true)
             .open(self.path(name))
@@ -227,8 +274,10 @@ impl Media for DirMedia {
     }
 
     fn remove(&mut self, name: &str) -> Result<(), StoreError> {
+        self.release(name);
         fs::remove_file(self.path(name))
-            .map_err(|e| StoreError::io(format!("remove {name}: {e}")))
+            .map_err(|e| StoreError::io(format!("remove {name}: {e}")))?;
+        self.sync_dir()
     }
 }
 
@@ -630,5 +679,141 @@ mod tests {
         assert!(a.at_flush < 40);
         let c = ArmedIoFault::arm(&IoFaultPlan::new(8, IoFault::Kill), &totals);
         assert_ne!(a, c);
+    }
+
+    /// A directory of its own under the system temp dir, removed on drop.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(test: &str) -> Self {
+            let dir = std::env::temp_dir()
+                .join(format!("leishen-dir-media-{}-{test}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+
+        fn media(&self) -> DirMedia {
+            DirMedia::open(&self.0).expect("open temp dir")
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    #[test]
+    fn dir_media_appends_flushes_reads_and_lists() {
+        let tmp = TempDir::new("basics");
+        let mut m = tmp.media();
+        assert!(m.list().is_empty());
+        m.append("seg-00000002.log", b"two").unwrap();
+        m.append("seg-00000001.log", b"hello").unwrap();
+        m.append("seg-00000001.log", b" world").unwrap();
+        m.flush("seg-00000001.log").unwrap();
+        m.flush("seg-00000002.log").unwrap();
+        fs::write(tmp.0.join("notes.txt"), b"not a segment").unwrap();
+        assert_eq!(
+            m.list(),
+            vec!["seg-00000001.log".to_string(), "seg-00000002.log".to_string()]
+        );
+        assert_eq!(m.read("seg-00000001.log").unwrap(), b"hello world");
+        assert_eq!(tmp.media().read("seg-00000002.log").unwrap(), b"two");
+        assert!(m.flush("seg-00000009.log").is_err(), "a flush never creates a segment");
+        assert!(m.read("seg-00000009.log").is_err());
+    }
+
+    #[test]
+    fn dir_media_rotates_segments_under_the_log() {
+        use super::super::{FsyncPolicy, LogConfig, SegmentLog};
+
+        let tmp = TempDir::new("rotation");
+        let config = LogConfig { segment_bytes: 64, fsync: FsyncPolicy::Always };
+        let (mut log, _) = SegmentLog::open(tmp.media(), config, |_, _| Ok(())).unwrap();
+        for i in 0..10u8 {
+            log.append(1, &[i; 20]).unwrap();
+        }
+        let metrics = log.metrics();
+        assert!(metrics.rotations >= 3, "64-byte segments force rotation: {metrics:?}");
+        assert_eq!(metrics.flushes, 10, "one flush per frame, none at rotation");
+        drop(log);
+        assert_eq!(tmp.media().list().len() as u64, metrics.segments);
+
+        let mut frames = Vec::new();
+        let (_, report) = SegmentLog::open(tmp.media(), config, |kind, payload| {
+            frames.push((kind, payload.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        assert!(!report.truncated);
+        let expect: Vec<(u8, Vec<u8>)> = (0..10u8).map(|i| (1, vec![i; 20])).collect();
+        assert_eq!(frames, expect);
+    }
+
+    #[test]
+    fn journal_reopens_over_a_garbage_tail() {
+        use ethsim::TxId;
+
+        use super::super::{JournalConfig, VerdictJournal};
+        use crate::resilience::{Fault, Quarantine, Verdict};
+
+        let verdict = |tx: u64| {
+            Verdict::Indeterminate(Quarantine {
+                tx: TxId(tx),
+                index: tx as usize,
+                fault: Fault::Panic { message: "boom".to_string() },
+                stage: None,
+                attempts: 1,
+            })
+        };
+        let tmp = TempDir::new("garbage-tail");
+        let config = JournalConfig::default();
+        let (mut journal, _) = VerdictJournal::open(tmp.media(), config, 7).unwrap();
+        for n in 0..3 {
+            journal.append_block(n, n, &[verdict(n)]).unwrap();
+        }
+        let acked = journal.blocks().to_vec();
+        drop(journal);
+
+        let seg = tmp.0.join("seg-00000001.log");
+        let clean = fs::read(&seg).unwrap();
+        let garbage = [0xA7, 1, 200, 0, 0, 0, 1, 2, 3, 4, 5, 6];
+        fs::OpenOptions::new().append(true).open(&seg).unwrap().write_all(&garbage).unwrap();
+
+        let (mut journal, report) = VerdictJournal::open(tmp.media(), config, 7).unwrap();
+        assert!(report.log.truncated);
+        assert_eq!(report.log.torn_bytes, garbage.len() as u64);
+        assert_eq!(journal.blocks(), &acked[..], "every acknowledged block comes back");
+        journal.append_block(3, 3, &[verdict(3)]).unwrap();
+        drop(journal);
+
+        let bytes = fs::read(&seg).unwrap();
+        assert!(bytes.len() > clean.len());
+        assert_eq!(&bytes[..clean.len()], &clean[..], "the next frame follows the clean prefix");
+        let (journal, report) = VerdictJournal::open(tmp.media(), config, 7).unwrap();
+        assert!(!report.log.truncated);
+        assert_eq!(journal.durable_prefix(), vec![(0, 1), (1, 1), (2, 1), (3, 1)]);
+    }
+
+    #[test]
+    fn truncate_and_remove_drop_the_held_handle() {
+        let tmp = TempDir::new("held-handle");
+        let mut m = tmp.media();
+        let name = "seg-00000001.log";
+        m.append(name, b"hello world").unwrap();
+        m.truncate(name, 5).unwrap();
+        m.append(name, b"!").unwrap();
+        m.flush(name).unwrap();
+        assert_eq!(m.read(name).unwrap(), b"hello!");
+
+        // A write through the removed file's stale handle would land in
+        // an unlinked inode and vanish.
+        m.remove(name).unwrap();
+        assert!(m.list().is_empty());
+        m.append(name, b"fresh").unwrap();
+        m.flush(name).unwrap();
+        assert_eq!(m.list(), vec![name.to_string()]);
+        assert_eq!(tmp.media().read(name).unwrap(), b"fresh");
     }
 }

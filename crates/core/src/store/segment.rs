@@ -156,7 +156,8 @@ pub struct SegmentLog<M: Media> {
     active_index: u64,
     /// Bytes currently in the active segment.
     active_len: u64,
-    /// Appends since the last flush (drives [`FsyncPolicy::EveryN`]).
+    /// Appends since the last flush: drives [`FsyncPolicy::EveryN`], and
+    /// a flush with none to sync is skipped.
     unflushed: u32,
     /// Set after any write failure; all further writes are refused so a
     /// half-written tail cannot be extended.
@@ -308,26 +309,27 @@ impl<M: Media> SegmentLog<M> {
             return Err(e);
         }
         self.active_len += frame_len;
+        self.unflushed = self.unflushed.saturating_add(1);
         self.metrics.frames += 1;
         self.metrics.bytes += frame_len;
 
         match self.config.fsync {
             FsyncPolicy::Always => self.flush()?,
-            FsyncPolicy::EveryN(n) => {
-                self.unflushed += 1;
-                if self.unflushed >= n.max(1) {
-                    self.flush()?;
-                }
-            }
-            FsyncPolicy::Never => {}
+            FsyncPolicy::EveryN(n) if self.unflushed >= n.max(1) => self.flush()?,
+            FsyncPolicy::EveryN(_) | FsyncPolicy::Never => {}
         }
         Ok(())
     }
 
-    /// Forces the active segment down to stable storage.
+    /// Forces the active segment down to stable storage. A flush with
+    /// nothing appended since the last one syncs nothing and is skipped
+    /// (a poisoned log still refuses it).
     pub fn flush(&mut self) -> Result<(), StoreError> {
         if self.poisoned {
             return Err(StoreError::Poisoned);
+        }
+        if self.unflushed == 0 {
+            return Ok(());
         }
         let name = segment_name(self.active_index);
         if let Err(e) = self.media.flush(&name) {
@@ -339,11 +341,13 @@ impl<M: Media> SegmentLog<M> {
         Ok(())
     }
 
-    /// Seals the active segment (flushing it) and starts the next one.
+    /// Seals the active segment (flushing whatever of it is unflushed)
+    /// and starts the next one.
     fn rotate(&mut self) -> Result<(), StoreError> {
-        let sealed = segment_name(self.active_index);
-        self.media.flush(&sealed)?;
-        self.metrics.flushes += 1;
+        if self.unflushed > 0 {
+            self.media.flush(&segment_name(self.active_index))?;
+            self.metrics.flushes += 1;
+        }
         self.active_index += 1;
         self.active_len = 0;
         self.unflushed = 0;
@@ -404,6 +408,7 @@ mod tests {
         let m = log.metrics();
         assert_eq!(m.frames, 10);
         assert!(m.rotations >= 3, "64-byte segments force rotation: {m:?}");
+        assert_eq!(m.flushes, 10, "a rotation adds no flush after a flushed append");
 
         let media = log.into_media();
         assert!(media.list().len() > 1);
@@ -508,6 +513,18 @@ mod tests {
         assert!(log.is_poisoned());
         assert_eq!(log.append(1, b"more"), Err(StoreError::Poisoned));
         assert_eq!(log.flush(), Err(StoreError::Poisoned));
+    }
+
+    #[test]
+    fn flush_with_nothing_appended_is_skipped() {
+        let config = LogConfig { segment_bytes: 1 << 20, fsync: FsyncPolicy::Never };
+        let (mut log, _, _) = collect(MemMedia::new(), config);
+        log.flush().unwrap();
+        assert_eq!(log.metrics().flushes, 0);
+        log.append(1, b"x").unwrap();
+        log.flush().unwrap();
+        log.flush().unwrap();
+        assert_eq!(log.metrics().flushes, 1);
     }
 
     #[test]

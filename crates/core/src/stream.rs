@@ -296,25 +296,19 @@ impl StreamConfig {
 /// clock) — the queue is MPSC.
 pub struct StreamProducer<'q, 'a> {
     ingest: &'q BoundedQueue<InFlight<'a>>,
-    rejected: AtomicU64,
 }
 
 impl<'a> StreamProducer<'_, 'a> {
     /// Submits one block, blocking while the ingest queue is full.
     /// Returns `false` if the stream already shut down (the block is
-    /// dropped and counted; this only happens if the scanner died).
+    /// dropped; this only happens if the scanner died).
     pub fn submit(&self, block: Block<'a>) -> bool {
-        let accepted = self
-            .ingest
+        self.ingest
             .push(InFlight {
                 block,
                 submitted_at: Instant::now(),
             })
-            .is_ok();
-        if !accepted {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-        }
-        accepted
+            .is_ok()
     }
 }
 
@@ -604,10 +598,7 @@ impl StreamService {
             // Producer runs on the calling thread; when it returns (or
             // panics — the closer is unconditional so the pipeline can
             // always drain), shutdown begins.
-            let handle = StreamProducer {
-                ingest: &ingest,
-                rejected: AtomicU64::new(0),
-            };
+            let handle = StreamProducer { ingest: &ingest };
             let produced = catch_unwind(AssertUnwindSafe(|| producer(&handle)));
             ingest.close();
 
@@ -829,10 +820,7 @@ impl StreamService {
                 (blocks, journal, outcome)
             });
 
-            let handle = StreamProducer {
-                ingest: &ingest,
-                rejected: AtomicU64::new(0),
-            };
+            let handle = StreamProducer { ingest: &ingest };
             let produced = catch_unwind(AssertUnwindSafe(|| producer(&handle)));
             ingest.close();
 

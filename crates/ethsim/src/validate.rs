@@ -20,7 +20,7 @@
 //! break exactly one invariant here, and the scan-side quarantine
 //! logic trusts an empty violation list to mean "safe to analyze".
 
-use crate::tx::{SpanId, TxRecord};
+use crate::tx::{SpanId, TxRecord, TxTrace};
 
 /// Largest amount the validator accepts on a transfer.
 ///
@@ -137,8 +137,15 @@ impl std::fmt::Display for RecordViolation {
 /// 5. frames are a pre-order call-tree walk: the first frame sits at
 ///    depth 0 and each frame deepens by at most one;
 /// 6. transfer amounts stay below [`MAX_AMOUNT`].
+///
+/// A clean record is accepted by one walk over the three streams that
+/// allocates nothing; only a record that walk rejects pays for the
+/// checks above, which collect the complete violation list.
 pub fn validate_record(tx: &TxRecord) -> Vec<RecordViolation> {
     let trace = &tx.trace;
+    if is_clean(trace) {
+        return Vec::new();
+    }
     let mut violations = Vec::new();
 
     // 1. Per-stream monotonicity.
@@ -213,6 +220,44 @@ pub fn validate_record(tx: &TxRecord) -> Vec<RecordViolation> {
     }
 
     violations
+}
+
+/// Whether `trace` upholds every invariant [`validate_record`] checks,
+/// decided by one walk over the three streams with no allocation.
+///
+/// The walk takes each expected seq `0..len` from whichever stream's
+/// head holds it. It succeeds exactly when each stream strictly
+/// increases and their union is `0..len` with no seq twice (checks 1, 3
+/// and 4); `len` below the span limit bounds every seq (check 2), and
+/// frames and transfers are checked as they are taken (checks 5 and 6).
+/// A `false` is not a verdict: the caller runs the full checks.
+fn is_clean(trace: &TxTrace) -> bool {
+    let (transfers, logs, frames) = (&trace.transfers, &trace.logs, &trace.frames);
+    if trace.len() as u64 >= (1u64 << SpanId::SEQ_BITS) - 1 {
+        return false;
+    }
+    let (mut t, mut l, mut f) = (0, 0, 0);
+    // The depth the next frame may reach: 0 for the root frame.
+    let mut depth_cap = Some(0u16);
+    for seq in 0..trace.len() as u32 {
+        if let Some(transfer) = transfers.get(t).filter(|x| x.seq == seq) {
+            if transfer.amount >= MAX_AMOUNT {
+                return false;
+            }
+            t += 1;
+        } else if logs.get(l).is_some_and(|x| x.seq == seq) {
+            l += 1;
+        } else if let Some(frame) = frames.get(f).filter(|x| x.seq == seq) {
+            if depth_cap.is_none_or(|cap| frame.depth > cap) {
+                return false;
+            }
+            depth_cap = frame.depth.checked_add(1);
+            f += 1;
+        } else {
+            return false;
+        }
+    }
+    true
 }
 
 #[cfg(test)]

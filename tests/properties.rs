@@ -8,7 +8,10 @@
 //! * simplification preserves per-identity net flows (absent WETH) and is
 //!   idempotent,
 //! * pattern matches survive irrelevant-trade interleaving,
-//! * calendar conversion round-trips.
+//! * calendar conversion round-trips,
+//! * the record validator reports exactly what its sort-based
+//!   predecessor reported, on clean, chaos-corrupted and perturbed
+//!   records.
 
 use proptest::prelude::*;
 
@@ -815,5 +818,210 @@ proptest! {
             run.verdicts.iter().map(|v| format!("{v:?}")).collect()
         };
         prop_assert_eq!(verdicts(&serial_run), verdicts(&chunked_run));
+    }
+}
+
+/// `ethsim::validate_record` as it stood before clean records took a
+/// one-walk, allocation-free path, kept verbatim as the reference the
+/// current validator must equal: it collects the three seq streams into
+/// vectors, merges them into one and sorts it.
+mod sort_based {
+    use ethsim::{RecordViolation, SpanId, TxRecord, MAX_AMOUNT};
+
+    pub fn validate_record(tx: &TxRecord) -> Vec<RecordViolation> {
+        let trace = &tx.trace;
+        let mut violations = Vec::new();
+
+        // 1. Per-stream monotonicity.
+        let streams: [(&'static str, Vec<u32>); 3] = [
+            ("transfers", trace.transfers.iter().map(|t| t.seq).collect()),
+            ("logs", trace.logs.iter().map(|l| l.seq).collect()),
+            ("frames", trace.frames.iter().map(|c| c.seq).collect()),
+        ];
+        for (stream, seqs) in &streams {
+            for pair in seqs.windows(2) {
+                if pair[1] <= pair[0] {
+                    violations.push(RecordViolation::NonMonotonicSeq {
+                        stream,
+                        seq: pair[1],
+                    });
+                    break; // one report per stream is enough to quarantine
+                }
+            }
+        }
+
+        // 2. Span-encoding bound, checked before the contiguity bitmap so a
+        // hostile seq cannot force a huge allocation below.
+        let mut all: Vec<u32> = streams.iter().flat_map(|(_, s)| s.iter().copied()).collect();
+        let span_limit = (1u64 << SpanId::SEQ_BITS) - 1;
+        for &seq in &all {
+            if u64::from(seq) + 1 >= span_limit {
+                violations.push(RecordViolation::SeqOverflow { seq });
+            }
+        }
+
+        // 3 + 4. Uniqueness and contiguity over the union of streams.
+        all.sort_unstable();
+        let mut duplicate = None;
+        let mut gap = None;
+        for (expected, &seq) in all.iter().enumerate() {
+            let expected = expected as u32;
+            if seq == expected {
+                continue;
+            }
+            if duplicate.is_none() && all[..expected as usize].binary_search(&seq).is_ok() {
+                duplicate = Some(seq);
+            } else if gap.is_none() && seq > expected {
+                gap = Some(expected);
+            }
+        }
+        if let Some(seq) = duplicate {
+            violations.push(RecordViolation::DuplicateSeq { seq });
+        }
+        if let Some(missing) = gap {
+            violations.push(RecordViolation::SeqGap { missing });
+        }
+
+        // 5. Frame tree shape.
+        if let Some(first) = trace.frames.first() {
+            if first.depth != 0 {
+                violations.push(RecordViolation::RootFrameDepth { depth: first.depth });
+            }
+        }
+        for pair in trace.frames.windows(2) {
+            if pair[1].depth > pair[0].depth + 1 {
+                violations.push(RecordViolation::DepthJump { seq: pair[1].seq });
+                break;
+            }
+        }
+
+        // 6. Amount range.
+        for transfer in &trace.transfers {
+            if transfer.amount >= MAX_AMOUNT {
+                violations.push(RecordViolation::AmountOverflow { seq: transfer.seq });
+                break;
+            }
+        }
+
+        violations
+    }
+}
+
+/// The fuzz/chaos seed corpus's records (attacks, benign workloads and
+/// the interleaving pool), built once for every validator property.
+fn seed_records() -> &'static [ethsim::TxRecord] {
+    static RECORDS: std::sync::OnceLock<Vec<ethsim::TxRecord>> = std::sync::OnceLock::new();
+    RECORDS.get_or_init(|| {
+        let seeds = leishen_scenarios::fuzz::seed_case(DetectorConfig::paper());
+        let pool = seeds.pool.into_iter().map(|(tx, _)| tx);
+        seeds.case.txs.into_iter().chain(pool).collect()
+    })
+}
+
+#[test]
+fn validator_matches_the_sort_based_reference_on_seed_and_chaos_records() {
+    use leishen::resilience::InputFault;
+    use leishen_scenarios::chaos::corrupt;
+
+    let mut corrupted = 0;
+    for record in seed_records() {
+        assert_eq!(ethsim::validate_record(record), Vec::new(), "tx {}", record.id);
+        assert_eq!(sort_based::validate_record(record), Vec::new(), "tx {}", record.id);
+        for fault in InputFault::ALL {
+            let mut tx = record.clone();
+            if !corrupt(&mut tx, fault) {
+                continue;
+            }
+            let want = sort_based::validate_record(&tx);
+            assert!(!want.is_empty(), "{} on tx {} breaks an invariant", fault.name(), tx.id);
+            assert_eq!(ethsim::validate_record(&tx), want, "{} on tx {}", fault.name(), tx.id);
+            corrupted += 1;
+        }
+    }
+    assert!(corrupted >= seed_records().len(), "most records take most faults: {corrupted}");
+}
+
+/// The seq of the `pick`-th journal entry of `trace` (transfers, then
+/// logs, then frames, modulo the entry count), or `None` for an empty
+/// trace.
+fn seq_at(trace: &mut ethsim::TxTrace, pick: usize) -> Option<&mut u32> {
+    let (t, l, f) = (trace.transfers.len(), trace.logs.len(), trace.frames.len());
+    if t + l + f == 0 {
+        return None;
+    }
+    let i = pick % (t + l + f);
+    Some(if i < t {
+        &mut trace.transfers[i].seq
+    } else if i < t + l {
+        &mut trace.logs[i - t].seq
+    } else {
+        &mut trace.frames[i - t - l].seq
+    })
+}
+
+/// Applies one perturbation `kind` to `trace`, at entries chosen by `a`
+/// and `b`: 0 swaps two seqs, 1 duplicates one, 2 drops an entry, 3 puts
+/// a seq at the span limit, 4 deepens a frame by 1 to 3 levels past its
+/// predecessor, 5 sets an amount at or near the amount limit.
+fn perturb(trace: &mut ethsim::TxTrace, kind: u8, a: usize, b: usize) {
+    let span_limit = 1u32 << ethsim::SpanId::SEQ_BITS;
+    match kind {
+        0 | 1 => {
+            let (Some(x), Some(y)) = (seq_at(trace, a).copied(), seq_at(trace, b).copied()) else {
+                return;
+            };
+            *seq_at(trace, a).unwrap() = y;
+            if kind == 0 {
+                *seq_at(trace, b).unwrap() = x;
+            }
+        }
+        2 => {
+            let (t, l, f) = (trace.transfers.len(), trace.logs.len(), trace.frames.len());
+            if t + l + f == 0 {
+                return;
+            }
+            let i = a % (t + l + f);
+            if i < t {
+                trace.transfers.remove(i);
+            } else if i < t + l {
+                trace.logs.remove(i - t);
+            } else {
+                trace.frames.remove(i - t - l);
+            }
+        }
+        3 => {
+            let limits = [span_limit - 3, span_limit - 2, span_limit - 1, u32::MAX];
+            if let Some(seq) = seq_at(trace, a) {
+                *seq = limits[b % limits.len()];
+            }
+        }
+        4 if !trace.frames.is_empty() => {
+            let i = a % trace.frames.len();
+            let below = if i == 0 { 0 } else { trace.frames[i - 1].depth };
+            trace.frames[i].depth = below + 1 + (b % 3) as u16;
+        }
+        5 if !trace.transfers.is_empty() => {
+            let amounts = [ethsim::MAX_AMOUNT - 1, ethsim::MAX_AMOUNT, u128::MAX];
+            let i = a % trace.transfers.len();
+            trace.transfers[i].amount = amounts[b % amounts.len()];
+        }
+        _ => {}
+    }
+}
+
+proptest! {
+    #[test]
+    fn validator_matches_the_sort_based_reference_on_perturbed_records(
+        edits in prop::collection::vec((0u8..6, 0usize..1 << 16, 0usize..1 << 16), 1..4)
+    ) {
+        // Every seed record takes the same edits: a case costs microseconds
+        // per record, and each record puts them at other entries.
+        for record in seed_records() {
+            let mut tx = record.clone();
+            for &(kind, a, b) in &edits {
+                perturb(&mut tx.trace, kind, a, b);
+            }
+            prop_assert_eq!(ethsim::validate_record(&tx), sort_based::validate_record(&tx));
+        }
     }
 }
