@@ -31,9 +31,9 @@ use std::time::Instant;
 
 use ethsim::{TxId, TxRecord};
 use leishen::resilience::{FaultInjector, FaultPlan, InducedFault, PlannedFault, Verdict};
-use leishen::telemetry::{MetricsSink, NoopSink, RecordingSink};
+use leishen::telemetry::RecordingSink;
 use leishen::trace::json::fmt_f64;
-use leishen::trace::{FlightRecorder, NoopTracer, Reason};
+use leishen::trace::{FlightRecorder, Reason};
 use leishen::{
     install_quiet_hook, ChainView, DetectorConfig, LeiShen, ResilienceConfig, ScanEngine, TagCache,
 };
@@ -176,41 +176,33 @@ fn run_campaign(
     expect: &[leishen::TxExpect],
 ) -> Campaign {
     let policy = ResilienceConfig::new();
+    let injector = FaultInjector::new(induced.iter().copied());
+    let engine = match config {
+        "serial" => ScanEngine::new(1),
+        _ => ScanEngine::new(4).allow_oversubscription(),
+    };
     match config {
-        "serial" => {
-            let engine = ScanEngine::new(1);
-            let injector = FaultInjector::new(NoopSink, induced.iter().copied());
+        "serial" | "parallel4" => {
             let scan = engine.scan_resilient_with(
-                detector, refs, view, &TagCache::new(), &policy, &injector, &NoopTracer,
-            );
-            grade(config, rate, &scan.verdicts, applied, expect, &injector, None, None)
-        }
-        "parallel4" => {
-            let engine = ScanEngine::new(4).allow_oversubscription();
-            let injector = FaultInjector::new(NoopSink, induced.iter().copied());
-            let scan = engine.scan_resilient_with(
-                detector, refs, view, &TagCache::new(), &policy, &injector, &NoopTracer,
+                detector, refs, view, &TagCache::new(), &policy, &injector,
             );
             grade(config, rate, &scan.verdicts, applied, expect, &injector, None, None)
         }
         "metered" => {
-            let engine = ScanEngine::new(4).allow_oversubscription();
-            let injector = FaultInjector::new(RecordingSink::new(), induced.iter().copied());
+            let sink = RecordingSink::new();
             let scan = engine.scan_resilient_with(
-                detector, refs, view, &TagCache::new(), &policy, &injector, &NoopTracer,
+                detector, refs, view, &TagCache::new(), &policy, &(&injector, &sink),
             );
-            let metered_quarantined = injector.inner().counter_totals().quarantined;
+            let metered_quarantined = sink.counter_totals().quarantined;
             grade(
                 config, rate, &scan.verdicts, applied, expect, &injector,
                 Some(metered_quarantined), None,
             )
         }
         "traced" => {
-            let engine = ScanEngine::new(4).allow_oversubscription();
-            let injector = FaultInjector::new(NoopSink, induced.iter().copied());
             let recorder = FlightRecorder::new();
             let scan = engine.scan_resilient_with(
-                detector, refs, view, &TagCache::new(), &policy, &injector, &recorder,
+                detector, refs, view, &TagCache::new(), &policy, &(&injector, &recorder),
             );
             grade(config, rate, &scan.verdicts, applied, expect, &injector, None, Some(&recorder))
         }
@@ -222,13 +214,13 @@ fn run_campaign(
 /// collecting violations instead of panicking so a failing campaign
 /// still produces a full report.
 #[allow(clippy::too_many_arguments)]
-fn grade<S: MetricsSink>(
+fn grade(
     config: &'static str,
     rate: u32,
     verdicts: &[Verdict],
     applied: &[Option<leishen::resilience::InputFault>],
     expect: &[leishen::TxExpect],
-    injector: &FaultInjector<S>,
+    injector: &FaultInjector,
     metered_quarantined: Option<u64>,
     recorder: Option<&FlightRecorder>,
 ) -> Campaign {

@@ -21,8 +21,8 @@
 //!    count (1/2/4/8), each with its own fresh [`leishen::TagCache`], so
 //!    the hit rates are comparable across configurations.
 //! 3. **Sink overhead** — best-of-`reps` batch scans through the
-//!    `NoopSink` path vs the `RecordingSink` path; the recording sink is
-//!    expected to stay within a few percent.
+//!    unobserved `()` path vs the `RecordingSink` path; the recording
+//!    sink is expected to stay within a few percent.
 
 use leishen::{DetectorConfig, FlightRecorder, LeiShen, RecordingSink, ScanEngine, TagCache, STAGES};
 use leishen_bench::{
@@ -132,7 +132,7 @@ fn main() {
 
     // ----- recording-sink overhead -----------------------------------------
     // Three configurations, repetitions interleaved so scheduler noise
-    // cannot eat one configuration's whole budget: the NoopSink baseline,
+    // cannot eat one configuration's whole budget: the unobserved baseline,
     // the exact sink (stage-times every transaction — what tests use),
     // and the 1-in-8 sampled sink (the continuous-monitoring default,
     // which amortizes the per-stage clock reads; see DESIGN.md's
@@ -170,10 +170,10 @@ fn main() {
     );
 
     // ----- flight-recorder overhead ----------------------------------------
-    // The NoopTracer path (what every untraced scan uses) vs a live
-    // FlightRecorder capturing full per-tx provenance. The noop path is
-    // the zero-cost claim: `T::ENABLED = false` compiles every event
-    // construction out of the hot loop.
+    // The unobserved path (what every untraced scan uses) vs a live
+    // FlightRecorder capturing full per-tx provenance. The unobserved
+    // path is the zero-cost claim: `O::TRACED = false` compiles every
+    // event construction out of the hot loop.
     let mut untraced_best = f64::INFINITY;
     let mut traced_best = f64::INFINITY;
     let mut traced_recorded = 0u64;

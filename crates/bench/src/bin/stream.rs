@@ -30,8 +30,6 @@ use std::time::Instant;
 use ethsim::TxRecord;
 use leishen::resilience::{ResilienceConfig, Verdict};
 use leishen::stream::{Block, StreamConfig, StreamService};
-use leishen::telemetry::NoopSink;
-use leishen::trace::NoopTracer;
 use leishen::{ChainView, DetectorConfig, LeiShen, ScanEngine, TagCache};
 use leishen_bench::{
     cli_f64, cli_flag, cli_str, cli_u64, corpus_records, percentile, print_table, sort_samples,
@@ -77,8 +75,7 @@ fn run_curve(
         detector,
         view,
         cache,
-        &NoopSink,
-        &NoopTracer,
+        &(),
         |producer| {
             for block in blocks {
                 producer.submit(block);

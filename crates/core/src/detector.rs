@@ -16,8 +16,8 @@ use crate::simplify::{
     coalesce_transfers, has_split_transfers, simplify_drain_observed, SimplifyAction,
 };
 use crate::tagging::{tag_of, tag_transfers_with_into, Tag, TaggedTransfer};
-use crate::telemetry::{MetricsSink, NoopSink, Stage, StageClock, TxCounters};
-use crate::trace::{Decision, NoopTracer, Reason, TraceBuilder, TraceEvent, TraceSink, Verdict};
+use crate::telemetry::{Observer, Probe, Stage, TxCounters};
+use crate::trace::{Decision, Reason, TraceEvent, Verdict};
 use crate::trades::{identify_trades_into, Trade};
 
 /// The detector's read-only view of chain context: the label cloud, the
@@ -124,9 +124,12 @@ impl LeiShen {
     /// signature short-circuit with an empty analysis (LeiShen only takes
     /// flash-loan transactions as input).
     pub fn analyze(&self, tx: &TxRecord, view: &ChainView<'_>) -> Analysis {
-        self.analyze_with(tx, view, &mut |addr| {
-            tag_of(addr, view.labels, &view.creations)
-        })
+        self.analyze_scratch(
+            tx,
+            view,
+            &mut |addr| tag_of(addr, view.labels, &view.creations),
+            &mut AnalysisScratch::default(),
+        )
     }
 
     /// Like [`LeiShen::analyze`], resolving tags through a shared
@@ -138,36 +141,29 @@ impl LeiShen {
         view: &ChainView<'_>,
         cache: &TagCache,
     ) -> Analysis {
-        self.analyze_with(tx, view, &mut |addr| {
-            cache.resolve(addr, view.labels, &view.creations)
-        })
+        self.analyze_scratch(
+            tx,
+            view,
+            &mut |addr| cache.resolve(addr, view.labels, &view.creations),
+            &mut AnalysisScratch::default(),
+        )
     }
 
-    /// Like [`LeiShen::analyze`], resolving tags through an arbitrary
-    /// caller-supplied resolver, which must map the zero address to
-    /// [`Tag::BlackHole`] and otherwise agree with
-    /// [`tag_of`] for the view's labels and creations. This is how
-    /// [`crate::scan::ScanEngine`] workers plug in their thread-local
-    /// cache fronts.
+    /// Like [`LeiShen::analyze`], resolving tags through a caller-supplied
+    /// resolver, with caller-provided scratch buffers.
     ///
-    /// The resolver is a compile-time parameter (not `&mut dyn FnMut`):
-    /// the pipeline calls it roughly twice per journal entry, so on the
-    /// cached batch-scan path the local-map probe must inline into the
-    /// tagging loop instead of going through an indirect call.
-    pub fn analyze_with<R: FnMut(Address) -> Tag>(
-        &self,
-        tx: &TxRecord,
-        view: &ChainView<'_>,
-        resolve: &mut R,
-    ) -> Analysis {
-        self.analyze_scratch(tx, view, resolve, &mut AnalysisScratch::default())
-    }
-
-    /// Like [`LeiShen::analyze_with`], with caller-provided scratch
-    /// buffers. Every intermediate the pipeline does not return moves
-    /// into `scratch` and is reused on the next call, so a worker
-    /// analyzing a batch pays for those buffers once instead of once per
-    /// transaction. Produces exactly the same [`Analysis`] as `analyze`.
+    /// The resolver must map the zero address to [`Tag::BlackHole`] and
+    /// otherwise agree with [`tag_of`] for the view's labels and
+    /// creations; this is how [`crate::scan::ScanEngine`] workers plug in
+    /// their cache fronts. It is a compile-time parameter (not
+    /// `&mut dyn FnMut`): the pipeline calls it roughly twice per journal
+    /// entry, so on the cached batch-scan path the memo probe must inline
+    /// into the tagging loop instead of going through an indirect call.
+    ///
+    /// Every intermediate the pipeline does not return moves into
+    /// `scratch` and is reused on the next call, so a worker analyzing a
+    /// batch pays for those buffers once instead of once per transaction.
+    /// Produces exactly the same [`Analysis`] as `analyze`.
     pub fn analyze_scratch<R: FnMut(Address) -> Tag>(
         &self,
         tx: &TxRecord,
@@ -175,49 +171,32 @@ impl LeiShen {
         resolve: &mut R,
         scratch: &mut AnalysisScratch,
     ) -> Analysis {
-        self.analyze_metered(tx, view, resolve, scratch, &NoopSink)
+        self.analyze_observed(tx, view, resolve, scratch, &())
     }
 
-    /// Like [`LeiShen::analyze_scratch`], reporting per-stage latency and
-    /// per-transaction counters to `sink`. The sink is a compile-time
-    /// parameter: monomorphized over [`NoopSink`] (what `analyze_scratch`
-    /// does) every timer read and counter store is dead code, so the
-    /// uninstrumented hot path pays nothing. Produces exactly the same
-    /// [`Analysis`] as `analyze` for any sink.
-    pub fn analyze_metered<S: MetricsSink, R: FnMut(Address) -> Tag>(
+    /// Like [`LeiShen::analyze_scratch`], reporting to `observer`:
+    /// per-stage latency and per-transaction counters when it meters, the
+    /// full decision provenance — stage spans, structured events for every
+    /// reduction and matcher verdict, and the final reason chain — when it
+    /// traces, and every stage boundary either way. The observer is a
+    /// compile-time parameter: monomorphized over `()` (what
+    /// `analyze_scratch` does) every clock read, counter store and event
+    /// closure is dead code. Produces exactly the same [`Analysis`] as
+    /// `analyze` for any observer.
+    pub fn analyze_observed<O: Observer, R: FnMut(Address) -> Tag>(
         &self,
         tx: &TxRecord,
         view: &ChainView<'_>,
         resolve: &mut R,
         scratch: &mut AnalysisScratch,
-        sink: &S,
+        observer: &O,
     ) -> Analysis {
-        self.analyze_traced(tx, view, resolve, scratch, sink, &NoopTracer)
-    }
-
-    /// Like [`LeiShen::analyze_metered`], additionally recording the full
-    /// decision provenance — stage spans, structured events for every
-    /// reduction and matcher verdict, and the final reason chain — into
-    /// `tracer`. Like the metrics sink, the tracer is a compile-time
-    /// parameter: monomorphized over [`NoopTracer`] every event closure
-    /// and span clock is dead code. Produces exactly the same
-    /// [`Analysis`] as `analyze` for any sink/tracer combination.
-    pub fn analyze_traced<S: MetricsSink, T: TraceSink, R: FnMut(Address) -> Tag>(
-        &self,
-        tx: &TxRecord,
-        view: &ChainView<'_>,
-        resolve: &mut R,
-        scratch: &mut AnalysisScratch,
-        sink: &S,
-        tracer: &T,
-    ) -> Analysis {
-        let timed = S::ENABLED && {
+        let picked = O::METERED && {
             scratch.lap_tick = scratch.lap_tick.wrapping_add(1);
-            let every = sink.stage_sampling();
+            let every = observer.stage_sampling();
             every <= 1 || scratch.lap_tick.is_multiple_of(every)
         };
-        let mut clock = StageClock::start(sink, timed, tx.id);
-        let mut builder = TraceBuilder::start(tracer);
+        let mut probe = Probe::start(observer, tx.id, picked);
         let mut counters = TxCounters::default();
         let flash_loans = if tx.status.is_success() {
             identify_flash_loans(tx)
@@ -225,32 +204,26 @@ impl LeiShen {
             Vec::new()
         };
         for loan in &flash_loans {
-            builder.event(tracer, || TraceEvent::FlashLoan {
+            probe.event(observer, || TraceEvent::FlashLoan {
                 provider: loan.provider.to_string(),
                 lender: loan.lender.to_string(),
                 borrower: loan.borrower.to_string(),
                 amount: loan.amount,
             });
         }
-        clock.lap(sink, Stage::FlashLoan);
-        builder.lap(tracer, Stage::FlashLoan);
+        probe.lap(observer, Stage::FlashLoan);
         if flash_loans.is_empty() {
-            if S::ENABLED {
+            if O::METERED {
                 counters.account_transfers = tx.trace.transfers.len() as u32;
             }
-            clock.finish(sink, &counters);
-            builder.finish(
-                tracer,
-                tx,
-                Decision {
-                    flagged: false,
-                    reasons: vec![if tx.status.is_success() {
-                        Reason::NoFlashLoan
-                    } else {
-                        Reason::Reverted
-                    }],
-                },
-            );
+            probe.finish(observer, &counters, || Decision {
+                flagged: false,
+                reasons: vec![if tx.status.is_success() {
+                    Reason::NoFlashLoan
+                } else {
+                    Reason::Reverted
+                }],
+            });
             return Analysis {
                 flash_loans,
                 account_transfer_count: tx.trace.transfers.len(),
@@ -285,14 +258,14 @@ impl LeiShen {
         };
         let journal_len = journal.len();
         tag_transfers_with_into(journal, &mut *resolve, tagged);
-        if T::ENABLED {
+        if O::TRACED {
             // First occurrence of each distinct tag, in journal order,
             // with the transfer that triggered it.
             let mut seen: HashSet<&Tag> = HashSet::with_capacity(tagged.len());
             for t in tagged.iter() {
                 for tag in [&t.sender, &t.receiver] {
                     if seen.insert(tag) {
-                        builder.event(tracer, || TraceEvent::TagAssigned {
+                        probe.event(observer, || TraceEvent::TagAssigned {
                             tag: tag.to_string(),
                             first_seq: t.seq,
                         });
@@ -300,8 +273,7 @@ impl LeiShen {
                 }
             }
         }
-        clock.lap(sink, Stage::Tagging);
-        builder.lap(tracer, Stage::Tagging);
+        probe.lap(observer, Stage::Tagging);
         let mut app_transfers = Vec::with_capacity(tagged.len());
         // Draining variant: survivors move out of the scratch buffer
         // (cleared anyway on the next transaction) instead of cloning.
@@ -311,24 +283,23 @@ impl LeiShen {
             &self.config,
             &mut app_transfers,
             |action| {
-                if T::ENABLED {
+                if O::TRACED {
                     match action {
                         SimplifyAction::Kept { .. } => {}
-                        SimplifyAction::Dropped { seq, rule } => builder
-                            .event(tracer, || TraceEvent::SimplifyDropped { seq, rule }),
-                        SimplifyAction::Merged { seq, into_seq } => builder
-                            .event(tracer, || TraceEvent::SimplifyMerged { seq, into_seq }),
+                        SimplifyAction::Dropped { seq, rule } => probe
+                            .event(observer, || TraceEvent::SimplifyDropped { seq, rule }),
+                        SimplifyAction::Merged { seq, into_seq } => probe
+                            .event(observer, || TraceEvent::SimplifyMerged { seq, into_seq }),
                     }
                 }
             },
         );
-        builder.event(tracer, || TraceEvent::SimplifySummary {
+        probe.event(observer, || TraceEvent::SimplifySummary {
             kept: simplify_stats.kept,
             dropped: simplify_stats.dropped,
             merged: simplify_stats.merged,
         });
-        clock.lap(sink, Stage::Simplify);
-        builder.lap(tracer, Stage::Simplify);
+        probe.lap(observer, Stage::Simplify);
 
         // Stage 3: trades + patterns, per distinct borrower tag. The tx
         // initiator is always considered a borrower identity as well — the
@@ -337,15 +308,14 @@ impl LeiShen {
         let mut trades = Vec::with_capacity(app_transfers.len() / 2 + 1);
         identify_trades_into(&app_transfers, &mut trades);
         for trade in &trades {
-            builder.event(tracer, || TraceEvent::TradeIdentified {
+            probe.event(observer, || TraceEvent::TradeIdentified {
                 seq: trade.seq,
                 kind: trade.kind.to_string(),
                 buyer: trade.buyer.to_string(),
                 seller: trade.seller.to_string(),
             });
         }
-        clock.lap(sink, Stage::Trades);
-        builder.lap(tracer, Stage::Trades);
+        probe.lap(observer, Stage::Trades);
         // Dedup by linear scan: a transaction has a handful of borrower
         // identities at most, and hashing a tag walks its app-name
         // string, so a set would cost more than it saves.
@@ -367,8 +337,8 @@ impl LeiShen {
         for tag in &borrower_tags {
             let found =
                 match_all_legs_observed(&legs, tag, &self.config, patterns, |verdict| {
-                    if T::ENABLED {
-                        builder.event(tracer, || TraceEvent::PatternVerdict {
+                    if O::TRACED {
+                        probe.event(observer, || TraceEvent::PatternVerdict {
                             kind: verdict.kind,
                             borrower: tag.to_string(),
                             quote: verdict.quote.to_string(),
@@ -400,15 +370,14 @@ impl LeiShen {
                     matches.push(m);
                 }
             }
-            if S::ENABLED {
+            if O::METERED {
                 counters.patterns_tried +=
                     (patterns.pairs_examined() * active_matchers) as u32;
             }
         }
-        clock.lap(sink, Stage::Patterns);
-        builder.lap(tracer, Stage::Patterns);
+        probe.lap(observer, Stage::Patterns);
 
-        if S::ENABLED {
+        if O::METERED {
             // Every counter is derived from state the pipeline already
             // holds; `tags_resolved` counts resolver calls exactly (two
             // per tagged journal entry — post-coalescing, when the
@@ -423,8 +392,7 @@ impl LeiShen {
             counters.borrower_tags = borrower_tags.len() as u32;
             counters.patterns_matched = matches.len() as u32;
         }
-        clock.finish(sink, &counters);
-        if T::ENABLED {
+        probe.finish(observer, &counters, || {
             // Reason chain: every identified loan, then either the
             // flagging evidence (one reason per deduped match) or the
             // explicit clear.
@@ -446,15 +414,11 @@ impl LeiShen {
                     });
                 }
             }
-            builder.finish(
-                tracer,
-                tx,
-                Decision {
-                    flagged: !matches.is_empty(),
-                    reasons,
-                },
-            );
-        }
+            Decision {
+                flagged: !matches.is_empty(),
+                reasons,
+            }
+        });
 
         Analysis {
             flash_loans,
@@ -474,42 +438,17 @@ impl LeiShen {
         view: &ChainView<'_>,
         prices: Option<&UsdPriceTable>,
     ) -> Option<AttackReport> {
-        self.detect_impl(tx, view, prices, &mut |addr| {
-            tag_of(addr, view.labels, &view.creations)
-        })
-    }
-
-    /// Like [`LeiShen::detect`], resolving tags through a shared
-    /// [`TagCache`].
-    pub fn detect_cached(
-        &self,
-        tx: &TxRecord,
-        view: &ChainView<'_>,
-        prices: Option<&UsdPriceTable>,
-        cache: &TagCache,
-    ) -> Option<AttackReport> {
-        self.detect_impl(tx, view, prices, &mut |addr| {
-            cache.resolve(addr, view.labels, &view.creations)
-        })
-    }
-
-    fn detect_impl(
-        &self,
-        tx: &TxRecord,
-        view: &ChainView<'_>,
-        prices: Option<&UsdPriceTable>,
-        resolve: &mut dyn FnMut(Address) -> Tag,
-    ) -> Option<AttackReport> {
-        // Cold path: one transaction per call, so the dyn resolver stays
-        // (monomorphizing `detect` would only bloat the binary).
-        let mut resolve = resolve;
-        let analysis = self.analyze_with(tx, view, &mut resolve);
+        let analysis = self.analyze(tx, view);
         if !analysis.is_attack() {
             return None;
         }
         let volatilities: Vec<PairVolatility> = pair_volatility(&analysis.trades);
         let profit_usd = prices.map(|p| {
-            let accounts = borrower_accounts(tx, &analysis, resolve);
+            // Cold path: one transaction per call, so the resolver stays
+            // dynamic (monomorphizing it would only bloat the binary).
+            let accounts = borrower_accounts(tx, &analysis, &mut |addr| {
+                tag_of(addr, view.labels, &view.creations)
+            });
             profit_of(&tx.trace.transfers, &accounts, p)
         });
         Some(AttackReport {
@@ -539,8 +478,8 @@ pub struct AnalysisScratch {
     /// populated when the journal actually contains adjacent same-edge
     /// runs, so unsplit transactions never pay the copy.
     coalesced: Vec<ethsim::Transfer>,
-    /// Per-worker transaction tick driving the sink's stage-timing
-    /// sampling ([`MetricsSink::stage_sampling`]).
+    /// Per-worker transaction tick driving the observer's stage-timing
+    /// sampling ([`Observer::stage_sampling`]).
     lap_tick: u32,
 }
 
@@ -734,7 +673,7 @@ mod tests {
 
         let plain = detector.analyze(&record, &view);
         let sink = RecordingSink::new();
-        let metered = detector.analyze_metered(
+        let metered = detector.analyze_observed(
             &record,
             &view,
             &mut |addr| tag_of(addr, view.labels, &view.creations),
@@ -772,7 +711,7 @@ mod tests {
             })
             .unwrap();
         let plain_record = chain.replay(plain_tx).unwrap().clone();
-        detector.analyze_metered(
+        detector.analyze_observed(
             &plain_record,
             &view,
             &mut |addr| tag_of(addr, view.labels, &view.creations),

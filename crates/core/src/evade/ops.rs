@@ -37,21 +37,9 @@ use ethsim::{
 
 use crate::analytics::net_flows;
 use crate::detector::Analysis;
+use crate::fuzz::ops::{next_seq, MAX_SEQ};
 use crate::fuzz::{FuzzCase, FuzzRng};
 use crate::patterns::PatternKind;
-
-/// `ethsim::SpanId` packs a sequence number into 20 bits; mutations that
-/// renumber or append sequence positions must stay under this.
-const MAX_SEQ: u32 = (1 << 20) - 2;
-
-/// First unused sequence number across a transaction's unified action
-/// stream (transfers, logs and call frames share one ordering).
-fn next_seq(tx: &TxRecord) -> u32 {
-    let t = tx.trace.transfers.iter().map(|x| x.seq).max().unwrap_or(0);
-    let l = tx.trace.logs.iter().map(|x| x.seq).max().unwrap_or(0);
-    let f = tx.trace.frames.iter().map(|x| x.seq).max().unwrap_or(0);
-    t.max(l).max(f) + 1
-}
 
 /// A successfully applied economic mutation.
 #[derive(Clone, Debug)]

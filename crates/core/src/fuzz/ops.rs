@@ -38,8 +38,8 @@ const RESERVED_LOGS: &[&str] =
 const NOOP_FRAMES: &[&str] = &["multicallProxy", "delegateHop", "batchRelay"];
 
 /// `ethsim::SpanId` packs a sequence number into 20 bits; mutations that
-/// renumber sequence positions must stay under this.
-const MAX_SEQ: u32 = (1 << 20) - 2;
+/// renumber or append sequence positions must stay under this.
+pub(crate) const MAX_SEQ: u32 = (1 << 20) - 2;
 
 /// Whether an operator's contract preserves or breaks detection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -431,8 +431,9 @@ fn wrap_noop(case: &mut FuzzCase, rng: &mut FuzzRng) -> Option<()> {
     Some(())
 }
 
-/// First free sequence position in a transaction's action stream.
-fn next_seq(tx: &TxRecord) -> u32 {
+/// First free sequence position in a transaction's action stream
+/// (transfers, logs and call frames share one ordering).
+pub(crate) fn next_seq(tx: &TxRecord) -> u32 {
     let t = tx.trace.transfers.iter().map(|t| t.seq).max().unwrap_or(0);
     let l = tx.trace.logs.iter().map(|l| l.seq).max().unwrap_or(0);
     let f = tx.trace.frames.iter().map(|f| f.seq).max().unwrap_or(0);

@@ -104,11 +104,10 @@ pub use stream::{
 };
 pub use tagging::{tag_transfers, tag_transfers_with_into, Tag, TagMap, TaggedTransfer};
 pub use telemetry::{
-    MetricsSink, NoopSink, RecordingSink, Stage, StageSummary, TxCounters, TxCountersTotal,
-    STAGES, STAGE_COUNT,
+    Observer, RecordingSink, Stage, StageSummary, TxCounters, TxCountersTotal, STAGES,
+    STAGE_COUNT,
 };
 pub use trace::{
-    Decision, FlightRecorder, NoopTracer, Reason, SpanRecord, TraceEvent, TraceSink, TxProvenance,
-    Verdict, WorkerTracer,
+    Decision, FlightRecorder, Reason, SpanRecord, TraceEvent, TxProvenance, Verdict, WorkerTracer,
 };
 pub use trades::{identify_trades, identify_trades_into, Trade, TradeKind, TradeSide};

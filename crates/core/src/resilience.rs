@@ -21,7 +21,7 @@
 //!   faults to corpus positions: corrupted inputs applied at the
 //!   `ethsim` boundary by the `scenarios` crate's corruption
 //!   generators, plus induced panics/delays landed mid-pipeline by a
-//!   [`FaultInjector`] sink at exact [`Stage`] boundaries. The same
+//!   [`FaultInjector`] observer at exact [`Stage`] boundaries. The same
 //!   seed reproduces the same campaign, like the fuzz harness.
 //!
 //! The scan-side integration lives in [`crate::scan::ScanEngine`]
@@ -38,7 +38,7 @@ use parking_lot::Mutex;
 use crate::detector::Analysis;
 use crate::fuzz::FuzzRng;
 use crate::scan::ScanStats;
-use crate::telemetry::{MetricsSink, Stage, StageLaps, TxCounters};
+use crate::telemetry::{Observer, Stage};
 
 /// Prefix of every panic payload raised by a [`FaultInjector`]. The
 /// stage name follows the prefix, so the quarantine logic can attribute
@@ -534,12 +534,22 @@ impl FaultPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Induced-fault injector (a MetricsSink wrapper)
+// Induced-fault injector (an Observer)
 // ---------------------------------------------------------------------------
 
-/// Shared injector state, reachable from every worker front.
+/// An [`Observer`] that lands planned [`InducedFault`]s at exact
+/// pipeline-stage boundaries, through [`Observer::stage_boundary`]. It
+/// neither meters nor traces; pair it with a sink or recorder —
+/// `(injector, sink)` — to instrument the same scan.
+///
+/// The injector keys faults by [`TxId`], so it works identically under
+/// serial and chunked parallel scans regardless of which worker
+/// picks the transaction up: every worker's front is the injector itself,
+/// so a fault fires once per transaction across workers (see
+/// [`FaultInjector::panics_fired`]), and a retried analysis therefore
+/// completes, modelling a transient fault.
 #[derive(Debug)]
-struct InjectorState {
+pub struct FaultInjector {
     by_tx: HashMap<TxId, InducedFault>,
     /// Faults fire once per transaction: the first crossing of the
     /// target stage trips the fault, the retry passes. This is what
@@ -550,8 +560,47 @@ struct InjectorState {
     delays_fired: AtomicU64,
 }
 
-impl InjectorState {
-    fn maybe_fire(&self, tx: TxId, stage: Stage) {
+impl FaultInjector {
+    /// Plans `faults` as `(transaction, fault)` pairs (typically derived
+    /// from [`FaultPlan::assign`]).
+    pub fn new(faults: impl IntoIterator<Item = (TxId, InducedFault)>) -> Self {
+        FaultInjector {
+            by_tx: faults.into_iter().collect(),
+            fired: Mutex::new(HashSet::new()),
+            panics_fired: AtomicU64::new(0),
+            delays_fired: AtomicU64::new(0),
+        }
+    }
+
+    /// Panics fired so far.
+    pub fn panics_fired(&self) -> u64 {
+        self.panics_fired.load(Ordering::Relaxed)
+    }
+
+    /// Delays fired so far.
+    pub fn delays_fired(&self) -> u64 {
+        self.delays_fired.load(Ordering::Relaxed)
+    }
+
+    /// Transactions whose planned fault has fired.
+    pub fn fired(&self) -> Vec<TxId> {
+        let mut fired: Vec<TxId> = self.fired.lock().iter().copied().collect();
+        fired.sort_unstable();
+        fired
+    }
+}
+
+impl Observer for FaultInjector {
+    const METERED: bool = false;
+    const TRACED: bool = false;
+
+    type Front<'a> = &'a FaultInjector;
+
+    fn front(&self) -> &FaultInjector {
+        self
+    }
+
+    fn stage_boundary(&self, tx: TxId, stage: Stage) {
         let Some(&fault) = self.by_tx.get(&tx) else {
             return;
         };
@@ -571,138 +620,10 @@ impl InjectorState {
     }
 }
 
-/// A [`MetricsSink`] wrapper that lands planned [`InducedFault`]s at
-/// exact pipeline-stage boundaries, forwarding every telemetry hook to
-/// the wrapped sink.
-///
-/// The injector keys faults by [`TxId`], so it works identically under
-/// serial and chunked parallel scans regardless of which worker
-/// picks the transaction up. Each fault fires exactly once (see
-/// [`FaultInjector::panics_fired`]); a retried analysis therefore
-/// completes, modelling a transient fault.
-#[derive(Debug)]
-pub struct FaultInjector<S> {
-    state: InjectorState,
-    inner: S,
-}
-
-impl<S: MetricsSink> FaultInjector<S> {
-    /// Wraps `inner`, planning `faults` as `(transaction, fault)`
-    /// pairs (typically derived from [`FaultPlan::assign`]).
-    pub fn new(inner: S, faults: impl IntoIterator<Item = (TxId, InducedFault)>) -> Self {
-        FaultInjector {
-            state: InjectorState {
-                by_tx: faults.into_iter().collect(),
-                fired: Mutex::new(HashSet::new()),
-                panics_fired: AtomicU64::new(0),
-                delays_fired: AtomicU64::new(0),
-            },
-            inner,
-        }
-    }
-
-    /// The wrapped sink (e.g. to read a `RecordingSink`'s totals).
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Panics fired so far.
-    pub fn panics_fired(&self) -> u64 {
-        self.state.panics_fired.load(Ordering::Relaxed)
-    }
-
-    /// Delays fired so far.
-    pub fn delays_fired(&self) -> u64 {
-        self.state.delays_fired.load(Ordering::Relaxed)
-    }
-
-    /// Transactions whose planned fault has fired.
-    pub fn fired(&self) -> Vec<TxId> {
-        let mut fired: Vec<TxId> = self.state.fired.lock().iter().copied().collect();
-        fired.sort_unstable();
-        fired
-    }
-}
-
-impl<S: MetricsSink> MetricsSink for FaultInjector<S> {
-    const ENABLED: bool = true;
-
-    type WorkerFront<'a>
-        = FaultFront<'a, S::WorkerFront<'a>>
-    where
-        Self: 'a;
-
-    fn worker_front(&self) -> FaultFront<'_, S::WorkerFront<'_>> {
-        FaultFront {
-            state: &self.state,
-            inner: self.inner.worker_front(),
-        }
-    }
-
-    fn stage_sampling(&self) -> u32 {
-        self.inner.stage_sampling()
-    }
-
-    fn transaction(&self, counters: &TxCounters, laps: &StageLaps) {
-        self.inner.transaction(counters, laps);
-    }
-
-    fn stage_boundary(&self, tx: TxId, stage: Stage) {
-        self.state.maybe_fire(tx, stage);
-        self.inner.stage_boundary(tx, stage);
-    }
-
-    fn quarantined(&self) {
-        self.inner.quarantined();
-    }
-}
-
-/// One worker's front of a [`FaultInjector`]: injection state is shared
-/// (fault firing must be once-per-transaction across workers), the
-/// wrapped sink's front is worker-local as usual.
-#[derive(Debug)]
-pub struct FaultFront<'a, F> {
-    state: &'a InjectorState,
-    inner: F,
-}
-
-impl<F: MetricsSink> MetricsSink for FaultFront<'_, F> {
-    const ENABLED: bool = true;
-
-    type WorkerFront<'b>
-        = FaultFront<'b, F::WorkerFront<'b>>
-    where
-        Self: 'b;
-
-    fn worker_front(&self) -> FaultFront<'_, F::WorkerFront<'_>> {
-        FaultFront {
-            state: self.state,
-            inner: self.inner.worker_front(),
-        }
-    }
-
-    fn stage_sampling(&self) -> u32 {
-        self.inner.stage_sampling()
-    }
-
-    fn transaction(&self, counters: &TxCounters, laps: &StageLaps) {
-        self.inner.transaction(counters, laps);
-    }
-
-    fn stage_boundary(&self, tx: TxId, stage: Stage) {
-        self.state.maybe_fire(tx, stage);
-        self.inner.stage_boundary(tx, stage);
-    }
-
-    fn quarantined(&self) {
-        self.inner.quarantined();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{NoopSink, STAGES};
+    use crate::telemetry::STAGES;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
@@ -741,10 +662,8 @@ mod tests {
 
     #[test]
     fn injector_fires_each_fault_exactly_once() {
-        let injector = FaultInjector::new(
-            NoopSink,
-            [(TxId(5), InducedFault::Panic { stage: Stage::Tagging })],
-        );
+        let injector =
+            FaultInjector::new([(TxId(5), InducedFault::Panic { stage: Stage::Tagging })]);
         // Wrong transaction, wrong stage: nothing fires.
         injector.stage_boundary(TxId(4), Stage::Tagging);
         injector.stage_boundary(TxId(5), Stage::Patterns);
@@ -767,10 +686,8 @@ mod tests {
 
     #[test]
     fn injector_delay_does_not_panic() {
-        let injector = FaultInjector::new(
-            NoopSink,
-            [(TxId(1), InducedFault::Delay { stage: Stage::Simplify, micros: 1 })],
-        );
+        let delay = InducedFault::Delay { stage: Stage::Simplify, micros: 1 };
+        let injector = FaultInjector::new([(TxId(1), delay)]);
         injector.stage_boundary(TxId(1), Stage::Simplify);
         assert_eq!(injector.delays_fired(), 1);
         assert_eq!(injector.panics_fired(), 0);
@@ -778,18 +695,10 @@ mod tests {
 
     #[test]
     fn fronts_share_firing_state() {
-        let injector = FaultInjector::new(
-            NoopSink,
-            [(TxId(2), InducedFault::Delay { stage: Stage::Trades, micros: 1 })],
-        );
-        {
-            let front = injector.worker_front();
-            front.stage_boundary(TxId(2), Stage::Trades);
-        }
-        {
-            let front = injector.worker_front();
-            front.stage_boundary(TxId(2), Stage::Trades); // already fired
-        }
+        let delay = InducedFault::Delay { stage: Stage::Trades, micros: 1 };
+        let injector = FaultInjector::new([(TxId(2), delay)]);
+        injector.front().stage_boundary(TxId(2), Stage::Trades);
+        injector.front().stage_boundary(TxId(2), Stage::Trades); // already fired
         assert_eq!(injector.delays_fired(), 1);
     }
 

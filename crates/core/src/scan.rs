@@ -37,7 +37,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use ethsim::{validate_record, Address, CreationIndex, TxRecord};
+use ethsim::{validate_record, Address, CreationIndex, SpanId, TxRecord};
 use parking_lot::Mutex;
 
 use crate::detector::{Analysis, AnalysisScratch, ChainView, LeiShen};
@@ -47,8 +47,8 @@ use crate::resilience::{
     Verdict,
 };
 use crate::tagging::{tag_of, Tag};
-use crate::telemetry::{MetricsSink, NoopSink, RecordingSink};
-use crate::trace::{Decision, FlightRecorder, NoopTracer, Reason, TraceBuilder, TraceSink};
+use crate::telemetry::{Observer, RecordingSink};
+use crate::trace::{Decision, FlightRecorder, Reason, TxProvenance};
 
 /// A memo of [`tag_of`] results: one slot per account of one
 /// [`CreationIndex`].
@@ -218,7 +218,7 @@ impl Drop for LocalTagCache<'_> {
     }
 }
 
-/// Summary of one batch scan.
+/// Summary of one resilient batch scan ([`ResilientScan::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Transactions analyzed.
@@ -229,9 +229,7 @@ pub struct ScanStats {
     pub cache_hits: u64,
     /// Tag lookups that computed a fresh tag.
     pub cache_misses: u64,
-    /// Transactions quarantined instead of analyzed (always 0 outside
-    /// [`ScanEngine::scan_resilient`] — the legacy scans have no
-    /// quarantine path).
+    /// Transactions quarantined instead of analyzed.
     pub quarantined: usize,
 }
 
@@ -308,25 +306,6 @@ impl ScanEngine {
         self.scan_with_cache(detector, txs, view, &TagCache::new())
     }
 
-    /// Like [`ScanEngine::scan`], with stats about the run.
-    pub fn scan_with_stats(
-        &self,
-        detector: &LeiShen,
-        txs: &[&TxRecord],
-        view: &ChainView<'_>,
-    ) -> (Vec<Analysis>, ScanStats) {
-        let cache = TagCache::new();
-        let analyses = self.scan_with_cache(detector, txs, view, &cache);
-        let stats = ScanStats {
-            transactions: analyses.len(),
-            attacks: analyses.iter().filter(|a| a.is_attack()).count(),
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            quarantined: 0,
-        };
-        (analyses, stats)
-    }
-
     /// Scans `txs` against a caller-owned cache (reusable across batches
     /// that share the same [`ChainView`]), returning analyses in input
     /// order.
@@ -337,15 +316,12 @@ impl ScanEngine {
         view: &ChainView<'_>,
         cache: &TagCache,
     ) -> Vec<Analysis> {
-        self.scan_impl(detector, txs, view, cache, &NoopSink, &NoopTracer)
+        self.scan_observed(detector, txs, view, cache, &())
     }
 
-    /// Like [`ScanEngine::scan_with_cache`], with every worker recording
-    /// decision provenance into one shared [`FlightRecorder`] through its
-    /// own lock-free [`TraceSink::worker_front`]. Produces exactly the
-    /// same analyses, in the same input order, as the untraced scan — the
-    /// trace identity test asserts this — while the recorder retains the
-    /// last-N cleared traces and pins every flagged one.
+    /// [`ScanEngine::scan_observed`] recording decision provenance into
+    /// one shared [`FlightRecorder`], which retains the last-N cleared
+    /// traces and pins every flagged one.
     pub fn scan_traced(
         &self,
         detector: &LeiShen,
@@ -354,15 +330,13 @@ impl ScanEngine {
         cache: &TagCache,
         recorder: &FlightRecorder,
     ) -> Vec<Analysis> {
-        self.scan_impl(detector, txs, view, cache, &NoopSink, recorder)
+        self.scan_observed(detector, txs, view, cache, recorder)
     }
 
-    /// Like [`ScanEngine::scan_with_cache`], with every worker reporting
-    /// per-stage latency and per-transaction counters into one shared
-    /// [`RecordingSink`]. Produces exactly the same analyses, in the same
-    /// input order, as the unmetered scan — the telemetry identity test
-    /// asserts this — while the sink accumulates the stage histograms and
-    /// counter totals the `obs` bench bin serializes.
+    /// [`ScanEngine::scan_observed`] reporting per-stage latency and
+    /// per-transaction counters into one shared [`RecordingSink`], which
+    /// accumulates the stage histograms and counter totals the `obs` bench
+    /// bin serializes.
     pub fn scan_metered(
         &self,
         detector: &LeiShen,
@@ -371,28 +345,41 @@ impl ScanEngine {
         cache: &TagCache,
         sink: &RecordingSink,
     ) -> Vec<Analysis> {
-        self.scan_impl(detector, txs, view, cache, sink, &NoopTracer)
+        self.scan_observed(detector, txs, view, cache, sink)
     }
 
-    /// Like [`ScanEngine::scan_with_cache`] but generic over both the
-    /// metrics sink and the trace sink — metered *and* traced in one
-    /// pass. `scan_metered`/`scan_traced` are thin wrappers over this.
-    pub fn scan_instrumented<S: MetricsSink + Sync, T: TraceSink + Sync>(
+    /// [`ScanEngine::scan_with_cache`] with every worker reporting to
+    /// `observer` through its own lock-free [`Observer::front`]. Produces
+    /// exactly the same analyses, in the same input order, as the
+    /// unobserved scan — the telemetry and trace identity tests assert
+    /// this.
+    ///
+    /// No validation, no catch: a panicking analysis propagates to the
+    /// caller, as a catchable panic on the calling thread, never a
+    /// process abort (see `scan_core`).
+    pub fn scan_observed<O: Observer + Sync>(
         &self,
         detector: &LeiShen,
         txs: &[&TxRecord],
         view: &ChainView<'_>,
         cache: &TagCache,
-        sink: &S,
-        tracer: &T,
+        observer: &O,
     ) -> Vec<Analysis> {
-        self.scan_impl(detector, txs, view, cache, sink, tracer)
+        self.scan_core(detector, txs, view, cache, observer, None)
+            .into_iter()
+            .map(|verdict| match verdict {
+                Verdict::Analyzed(analysis) => analysis,
+                // Unreachable: scan_core only quarantines under Some(policy).
+                Verdict::Indeterminate(q) => {
+                    panic!("quarantine without a resilience policy: {}", q.reason())
+                }
+            })
+            .collect()
     }
 
-    /// Fault-isolated scan: every transaction gets a
-    /// [`Verdict`](crate::resilience::Verdict) — a completed analysis,
-    /// or a structured quarantine — and a panicking analysis never
-    /// takes the batch (or the process) down with it. See
+    /// Fault-isolated scan: every transaction gets a [`Verdict`] — a
+    /// completed analysis, or a structured quarantine — and a panicking
+    /// analysis never takes the batch (or the process) down with it. See
     /// [`ResilienceConfig`] for the validation/retry policy.
     pub fn scan_resilient(
         &self,
@@ -402,28 +389,26 @@ impl ScanEngine {
         cache: &TagCache,
         policy: &ResilienceConfig,
     ) -> ResilientScan {
-        self.scan_resilient_with(detector, txs, view, cache, policy, &NoopSink, &NoopTracer)
+        self.scan_resilient_with(detector, txs, view, cache, policy, &())
     }
 
-    /// [`ScanEngine::scan_resilient`] with instrumentation: quarantines
-    /// are counted on the sink
-    /// ([`crate::telemetry::TxCountersTotal::quarantined`]) and each
-    /// quarantined transaction records a provenance trace whose
-    /// decision carries [`Reason::Indeterminate`]. Pass a
-    /// [`crate::resilience::FaultInjector`] as the sink to land induced
-    /// chaos faults mid-pipeline.
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_resilient_with<S: MetricsSink + Sync, T: TraceSink + Sync>(
+    /// [`ScanEngine::scan_resilient`] reporting to `observer`: quarantines
+    /// reach [`Observer::quarantined`] — a [`RecordingSink`] counts them
+    /// ([`crate::telemetry::TxCountersTotal::quarantined`]) and a
+    /// [`FlightRecorder`] keeps a provenance trace whose decision carries
+    /// [`Reason::Indeterminate`]. Pass a
+    /// [`crate::resilience::FaultInjector`], alone or paired with those, to
+    /// land induced chaos faults mid-pipeline.
+    pub fn scan_resilient_with<O: Observer + Sync>(
         &self,
         detector: &LeiShen,
         txs: &[&TxRecord],
         view: &ChainView<'_>,
         cache: &TagCache,
         policy: &ResilienceConfig,
-        sink: &S,
-        tracer: &T,
+        observer: &O,
     ) -> ResilientScan {
-        let verdicts = self.scan_core(detector, txs, view, cache, sink, tracer, Some(policy));
+        let verdicts = self.scan_core(detector, txs, view, cache, observer, Some(policy));
         let stats = ScanStats {
             transactions: verdicts.len(),
             attacks: verdicts
@@ -438,36 +423,10 @@ impl ScanEngine {
         ResilientScan { verdicts, stats }
     }
 
-    /// The legacy scan: no validation, no catch — a panicking analysis
-    /// propagates to the caller (as a catchable panic on the calling
-    /// thread, never a process abort; see `scan_core`).
-    fn scan_impl<S: MetricsSink + Sync, T: TraceSink + Sync>(
-        &self,
-        detector: &LeiShen,
-        txs: &[&TxRecord],
-        view: &ChainView<'_>,
-        cache: &TagCache,
-        sink: &S,
-        tracer: &T,
-    ) -> Vec<Analysis> {
-        self.scan_core(detector, txs, view, cache, sink, tracer, None)
-            .into_iter()
-            .map(|verdict| match verdict {
-                Verdict::Analyzed(analysis) => analysis,
-                // Unreachable: scan_core only quarantines under Some(policy).
-                Verdict::Indeterminate(q) => {
-                    panic!("quarantine without a resilience policy: {}", q.reason())
-                }
-            })
-            .collect()
-    }
-
-    /// The scan, generic over the metrics sink and trace sink so the
-    /// [`NoopSink`]/[`NoopTracer`] path monomorphizes with zero
-    /// instrumentation. Each worker records into its own
-    /// [`MetricsSink::worker_front`] / [`TraceSink::worker_front`] —
-    /// thread-local, lock-free — which merges into the shared sink when
-    /// the worker finishes.
+    /// The scan, generic over the observer so the `()` path monomorphizes
+    /// with zero instrumentation. Each worker records into its own
+    /// [`Observer::front`] — thread-local, lock-free — which merges into
+    /// the shared observer when the worker finishes.
     ///
     /// With `policy: Some(..)` every transaction is analyzed under
     /// `catch_unwind` and failures become [`Verdict::Indeterminate`];
@@ -476,15 +435,13 @@ impl ScanEngine {
     /// (original payload preserved) after every surviving worker has
     /// been joined — a poisoned worker never aborts the process, and
     /// the other workers' chunks are still drained.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_core<S: MetricsSink + Sync, T: TraceSink + Sync>(
+    fn scan_core<O: Observer + Sync>(
         &self,
         detector: &LeiShen,
         txs: &[&TxRecord],
         view: &ChainView<'_>,
         cache: &TagCache,
-        sink: &S,
-        tracer: &T,
+        observer: &O,
         policy: Option<&ResilienceConfig>,
     ) -> Vec<Verdict> {
         if txs.is_empty() {
@@ -501,8 +458,7 @@ impl ScanEngine {
                 view,
                 &mut tags,
                 &mut scratch,
-                &sink.worker_front(),
-                &tracer.worker_front(),
+                &observer.front(),
                 policy,
             );
         }
@@ -520,8 +476,7 @@ impl ScanEngine {
         let work = || {
             let mut tags = LocalTagCache::new(cache);
             let mut scratch = AnalysisScratch::default();
-            let front = sink.worker_front();
-            let tfront = tracer.worker_front();
+            let front = observer.front();
             // Relaxed suffices: the counter only hands out distinct
             // indices; verdicts travel through the slot mutexes and the
             // scope join.
@@ -538,7 +493,6 @@ impl ScanEngine {
                     &mut tags,
                     &mut scratch,
                     &front,
-                    &tfront,
                     policy,
                 );
                 *slots[chunk_idx].lock() = Some(verdicts);
@@ -596,8 +550,7 @@ impl ScanEngine {
                         view,
                         &mut tags,
                         &mut scratch,
-                        &sink.worker_front(),
-                        &tracer.worker_front(),
+                        &observer.front(),
                         policy,
                     ));
                 }
@@ -608,67 +561,57 @@ impl ScanEngine {
 }
 
 /// Analyzes `run` — the batch's transactions from index `first` on — with
-/// one worker's cache front, scratch buffers and sink fronts, returning
+/// one worker's cache front, scratch buffers and observer front, returning
 /// one verdict per transaction in input order.
 #[allow(clippy::too_many_arguments)]
-fn analyze_run<S: MetricsSink, T: TraceSink>(
+fn analyze_run<O: Observer>(
     detector: &LeiShen,
     run: &[&TxRecord],
     first: usize,
     view: &ChainView<'_>,
     tags: &mut LocalTagCache<'_>,
     scratch: &mut AnalysisScratch,
-    front: &S,
-    tfront: &T,
+    front: &O,
     policy: Option<&ResilienceConfig>,
 ) -> Vec<Verdict> {
     run.iter()
         .enumerate()
         .map(|(offset, tx)| {
-            analyze_guarded(
-                detector,
-                tx,
-                first + offset,
-                view,
-                tags,
-                scratch,
-                front,
-                tfront,
-                policy,
-            )
+            analyze_guarded(detector, tx, first + offset, view, tags, scratch, front, policy)
         })
         .collect()
 }
 
 /// Analyzes one transaction under the given resilience policy.
 ///
-/// `policy: None` is the legacy path — a direct `analyze_traced` call
+/// `policy: None` is the legacy path — a direct `analyze_observed` call
 /// with no validation and no unwind guard, so the monomorphized hot
 /// path is unchanged. With a policy, the record is validated first
 /// (quarantining invalid input before it reaches the pipeline), the
 /// analysis runs under `catch_unwind`, and a panicking attempt is
 /// retried once with fresh scratch state when the policy allows it.
 #[allow(clippy::too_many_arguments)]
-fn analyze_guarded<S: MetricsSink, T: TraceSink>(
+fn analyze_guarded<O: Observer>(
     detector: &LeiShen,
     tx: &TxRecord,
     index: usize,
     view: &ChainView<'_>,
     tags: &mut LocalTagCache<'_>,
     scratch: &mut AnalysisScratch,
-    front: &S,
-    tfront: &T,
+    front: &O,
     policy: Option<&ResilienceConfig>,
 ) -> Verdict {
-    let Some(policy) = policy else {
-        return Verdict::Analyzed(detector.analyze_traced(
+    let mut analyze = |scratch: &mut AnalysisScratch| {
+        detector.analyze_observed(
             tx,
             view,
             &mut |addr| tags.resolve(addr, view.labels(), view.creations()),
             scratch,
             front,
-            tfront,
-        ));
+        )
+    };
+    let Some(policy) = policy else {
+        return Verdict::Analyzed(analyze(scratch));
     };
 
     // Deadline first: once the budget is spent the scan stops paying
@@ -676,22 +619,14 @@ fn analyze_guarded<S: MetricsSink, T: TraceSink>(
     // drains the remaining inputs into degraded-mode verdicts.
     if let Some(deadline) = policy.deadline {
         if std::time::Instant::now() >= deadline {
-            return quarantine(tx, index, Fault::Deadline, None, 0, front, tfront);
+            return quarantine(tx, index, Fault::Deadline, None, 0, front);
         }
     }
 
     if policy.validate_inputs {
         let violations = validate_record(tx);
         if !violations.is_empty() {
-            return quarantine(
-                tx,
-                index,
-                Fault::InvalidInput { violations },
-                None,
-                0,
-                front,
-                tfront,
-            );
+            return quarantine(tx, index, Fault::InvalidInput { violations }, None, 0, front);
         }
     }
 
@@ -699,17 +634,7 @@ fn analyze_guarded<S: MetricsSink, T: TraceSink>(
     let mut attempts = 0;
     loop {
         attempts += 1;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            detector.analyze_traced(
-                tx,
-                view,
-                &mut |addr| tags.resolve(addr, view.labels(), view.creations()),
-                scratch,
-                front,
-                tfront,
-            )
-        }));
-        match outcome {
+        match catch_unwind(AssertUnwindSafe(|| analyze(scratch))) {
             Ok(analysis) => return Verdict::Analyzed(analysis),
             Err(payload) => {
                 // The unwound attempt may have left intermediate state
@@ -720,33 +645,25 @@ fn analyze_guarded<S: MetricsSink, T: TraceSink>(
                 if attempts >= max_attempts {
                     let message = payload_message(payload.as_ref());
                     let stage = stage_of_payload(&message);
-                    return quarantine(
-                        tx,
-                        index,
-                        Fault::Panic { message },
-                        stage,
-                        attempts,
-                        front,
-                        tfront,
-                    );
+                    let fault = Fault::Panic { message };
+                    return quarantine(tx, index, fault, stage, attempts, front);
                 }
             }
         }
     }
 }
 
-/// Builds the [`Verdict::Indeterminate`] outcome: counts the quarantine
-/// on the metrics sink and records a degraded-mode provenance trace
-/// (decision `flagged: false` with a single [`Reason::Indeterminate`])
-/// so flight recorders see quarantined transactions too.
-fn quarantine<S: MetricsSink, T: TraceSink>(
+/// Builds the [`Verdict::Indeterminate`] outcome and reports it to the
+/// observer with a degraded-mode provenance trace (decision
+/// `flagged: false` with a single [`Reason::Indeterminate`]), so sinks
+/// count quarantined transactions and flight recorders see them too.
+fn quarantine<O: Observer>(
     tx: &TxRecord,
     index: usize,
     fault: Fault,
     stage: Option<crate::telemetry::Stage>,
     attempts: u32,
-    front: &S,
-    tfront: &T,
+    front: &O,
 ) -> Verdict {
     let record = Quarantine {
         tx: tx.id,
@@ -755,22 +672,20 @@ fn quarantine<S: MetricsSink, T: TraceSink>(
         stage,
         attempts,
     };
-    if S::ENABLED {
-        front.quarantined();
-    }
-    if T::ENABLED {
-        let builder = TraceBuilder::start(tfront);
-        builder.finish(
-            tfront,
-            tx,
-            Decision {
-                flagged: false,
-                reasons: vec![Reason::Indeterminate {
-                    fault: record.reason(),
-                }],
-            },
-        );
-    }
+    let mut trace = O::TRACED.then(|| TxProvenance {
+        tx: tx.id,
+        span: SpanId::tx_root(tx.id),
+        worker: 0,
+        spans: Vec::new(),
+        events: Vec::new(),
+        decision: Decision {
+            flagged: false,
+            reasons: vec![Reason::Indeterminate {
+                fault: record.reason(),
+            }],
+        },
+    });
+    front.quarantined(&mut trace);
     Verdict::Indeterminate(record)
 }
 
@@ -992,10 +907,8 @@ mod tests {
         let view = ChainView::new(&labels, &[], None);
         let detector = LeiShen::new(DetectorConfig::paper());
         let target = records[3].id;
-        let injector = FaultInjector::new(
-            NoopSink,
-            [(target, InducedFault::Panic { stage: Stage::FlashLoan })],
-        );
+        let injector =
+            FaultInjector::new([(target, InducedFault::Panic { stage: Stage::FlashLoan })]);
         let engine = ScanEngine::new(1);
         let scan = engine.scan_resilient_with(
             &detector,
@@ -1004,7 +917,6 @@ mod tests {
             &TagCache::new(),
             &ResilienceConfig::new(),
             &injector,
-            &NoopTracer,
         );
         assert_eq!(injector.panics_fired(), 1);
         assert!(scan.is_fully_analyzed(), "retry absorbs the transient fault");
@@ -1018,10 +930,8 @@ mod tests {
         let view = ChainView::new(&labels, &[], None);
         let detector = LeiShen::new(DetectorConfig::paper());
         let target = records[5].id;
-        let injector = FaultInjector::new(
-            NoopSink,
-            [(target, InducedFault::Panic { stage: Stage::FlashLoan })],
-        );
+        let injector =
+            FaultInjector::new([(target, InducedFault::Panic { stage: Stage::FlashLoan })]);
         let engine = ScanEngine::new(4).with_chunk_size(2).allow_oversubscription();
         let scan = engine.scan_resilient_with(
             &detector,
@@ -1030,7 +940,6 @@ mod tests {
             &TagCache::new(),
             &ResilienceConfig::new().without_retry(),
             &injector,
-            &NoopTracer,
         );
         assert_eq!(scan.stats.quarantined, 1);
         let q = scan.quarantines().next().expect("one quarantine");
@@ -1061,8 +970,7 @@ mod tests {
             &view,
             &TagCache::new(),
             &ResilienceConfig::new(),
-            &sink,
-            &recorder,
+            &(&sink, &recorder),
         );
         assert_eq!(scan.stats.quarantined, 1);
         assert_eq!(sink.counter_totals().quarantined, 1);
@@ -1095,13 +1003,11 @@ mod tests {
             ScanEngine::new(1),
             ScanEngine::new(4).with_chunk_size(2).allow_oversubscription(),
         ] {
-            let injector = FaultInjector::new(
-                NoopSink,
-                [(target, InducedFault::Panic { stage: Stage::FlashLoan })],
-            );
+            let injector =
+                FaultInjector::new([(target, InducedFault::Panic { stage: Stage::FlashLoan })]);
             let cache = TagCache::new();
             let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                engine.scan_instrumented(&detector, &txs, &view, &cache, &injector, &NoopTracer)
+                engine.scan_observed(&detector, &txs, &view, &cache, &injector)
             }));
             // No quarantine path in the legacy scan: the panic reaches
             // the caller with its payload intact — and is catchable, so
@@ -1115,25 +1021,19 @@ mod tests {
         }
     }
 
-    /// A sink whose worker front cannot be built on one thread: a fault
-    /// outside the per-transaction guard, on whichever worker runs there.
+    /// An observer whose worker front cannot be built on one thread: a
+    /// fault outside the per-transaction guard, on whichever worker runs
+    /// there.
     struct RefusesThread(std::thread::ThreadId);
 
-    impl MetricsSink for RefusesThread {
-        const ENABLED: bool = false;
+    impl Observer for RefusesThread {
+        const METERED: bool = false;
+        const TRACED: bool = false;
 
-        type WorkerFront<'a> = NoopSink;
+        type Front<'a> = ();
 
-        fn worker_front(&self) -> NoopSink {
+        fn front(&self) {
             assert_ne!(std::thread::current().id(), self.0, "worker front refused");
-            NoopSink
-        }
-
-        fn transaction(
-            &self,
-            _counters: &crate::telemetry::TxCounters,
-            _laps: &crate::telemetry::StageLaps,
-        ) {
         }
     }
 
@@ -1147,7 +1047,7 @@ mod tests {
         let labels = Labels::new();
         let view = ChainView::new(&labels, &[], None);
         let detector = LeiShen::new(DetectorConfig::paper());
-        let sink = RefusesThread(std::thread::current().id());
+        let refuses = RefusesThread(std::thread::current().id());
         let engine = ScanEngine::new(2).with_chunk_size(2).allow_oversubscription();
 
         let scan = engine.scan_resilient_with(
@@ -1156,14 +1056,13 @@ mod tests {
             &view,
             &TagCache::new(),
             &ResilienceConfig::new(),
-            &sink,
-            &NoopTracer,
+            &refuses,
         );
         assert_eq!(scan.verdicts.len(), txs.len());
         assert!(scan.is_fully_analyzed());
 
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            engine.scan_instrumented(&detector, &txs, &view, &TagCache::new(), &sink, &NoopTracer)
+            engine.scan_observed(&detector, &txs, &view, &TagCache::new(), &refuses)
         }));
         let payload = caught.expect_err("legacy scan re-raises the panic");
         let message = payload_message(payload.as_ref());

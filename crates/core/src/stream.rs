@@ -59,7 +59,6 @@
 //! assert_eq!(report.transactions, 0);
 //! ```
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,10 +71,9 @@ use crate::detector::{Analysis, ChainView, LeiShen};
 use crate::resilience::{
     payload_message, Fault, Quarantine, ResilienceConfig, Verdict,
 };
-use crate::scan::{ScanEngine, ScanStats, TagCache};
+use crate::scan::{ScanEngine, TagCache};
 use crate::store::{JournalConfig, Media, StoreError, VerdictJournal};
-use crate::telemetry::{MetricsSink, NoopSink};
-use crate::trace::{NoopTracer, TraceSink};
+use crate::telemetry::Observer;
 
 // ---------------------------------------------------------------------------
 // Bounded MPSC queue
@@ -238,6 +236,23 @@ struct Scanned {
     submitted_at: Instant,
 }
 
+/// What the scanner station scans every block with.
+struct ScanContext<'s, 'a, O> {
+    detector: &'s LeiShen,
+    view: &'s ChainView<'a>,
+    cache: &'s TagCache,
+    observer: &'s O,
+}
+
+/// What one pass of the pipeline hands back to `run` and `resume`.
+struct Session {
+    stream: StreamReport,
+    /// Durable-prefix blocks and transactions skipped.
+    skipped: (usize, usize),
+    /// The first commit or resume failure, if any.
+    failure: Option<StoreError>,
+}
+
 /// Service policy knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
@@ -379,18 +394,6 @@ impl StreamReport {
     pub fn quarantined_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.quarantines().map(|q| q.index)
     }
-
-    /// The stream's totals in [`ScanStats`] shape (cache counters come
-    /// from the caller-owned [`TagCache`], which outlives the run).
-    pub fn scan_stats(&self, cache: &TagCache) -> ScanStats {
-        ScanStats {
-            transactions: self.transactions,
-            attacks: self.attacks,
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            quarantined: self.quarantined,
-        }
-    }
 }
 
 /// The outcome of a durable stream session
@@ -416,18 +419,6 @@ pub struct DurableReport {
     /// next [`StreamService::resume`] over the surviving media picks
     /// up exactly there.
     pub crashed: Option<StoreError>,
-}
-
-/// Flattens a scoped-thread join over a body that already caught its
-/// own panics: an outer `Err` (a panic the body's catch missed) folds
-/// into the same caller-side payload channel.
-fn flatten_join<T>(
-    joined: Result<std::thread::Result<T>, Box<dyn Any + Send>>,
-) -> std::thread::Result<T> {
-    match joined {
-        Ok(inner) => inner,
-        Err(payload) => Err(payload),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -456,17 +447,6 @@ impl StreamService {
         }
     }
 
-    /// A service over a caller-configured engine (chunk size,
-    /// oversubscription).
-    pub fn with_engine(engine: ScanEngine, config: StreamConfig) -> Self {
-        StreamService { engine, config }
-    }
-
-    /// The service's configuration.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
     /// Replays pre-chunked blocks through the stream with no
     /// instrumentation and no emit callback — the plain entry point for
     /// tests and offline replays.
@@ -476,24 +456,11 @@ impl StreamService {
         view: &ChainView<'a>,
         blocks: impl IntoIterator<Item = Block<'a>>,
     ) -> StreamReport {
-        let cache = TagCache::new();
-        self.replay_with_cache(detector, view, &cache, blocks)
-    }
-
-    /// [`StreamService::replay`] against a caller-owned cache.
-    pub fn replay_with_cache<'a>(
-        &self,
-        detector: &LeiShen,
-        view: &ChainView<'a>,
-        cache: &TagCache,
-        blocks: impl IntoIterator<Item = Block<'a>>,
-    ) -> StreamReport {
         self.run(
             detector,
             view,
-            cache,
-            &NoopSink,
-            &NoopTracer,
+            &TagCache::new(),
+            &(),
             |producer| {
                 for block in blocks {
                     if !producer.submit(block) {
@@ -509,142 +476,29 @@ impl StreamService {
     ///
     /// `producer` executes on the calling thread with a
     /// [`StreamProducer`] handle; every `submit` feels ingest-queue
-    /// backpressure. `on_emit` executes on the emitter thread, once per
-    /// block, *as verdicts land* — before later blocks finish and
-    /// before `run` returns. When `producer` returns, the stream drains
-    /// deterministically: every submitted transaction is scanned and
-    /// emitted exactly once, then `run` returns the assembled
+    /// backpressure. Every block is scanned with `observer` (one
+    /// telemetry/trace epoch per block). `on_emit` executes on the
+    /// emitter thread, once per block, *as verdicts land* — before later
+    /// blocks finish and before `run` returns. When `producer` returns,
+    /// the stream drains deterministically: every submitted transaction is
+    /// scanned and emitted exactly once, then `run` returns the assembled
     /// [`StreamReport`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run<'a, S, T, P, E>(
+    pub fn run<'a, O, P, E>(
         &self,
         detector: &LeiShen,
         view: &ChainView<'a>,
         cache: &TagCache,
-        sink: &S,
-        tracer: &T,
+        observer: &O,
         producer: P,
         on_emit: E,
     ) -> StreamReport
     where
-        S: MetricsSink + Sync,
-        T: TraceSink + Sync,
+        O: Observer + Sync,
         P: FnOnce(&StreamProducer<'_, 'a>),
         E: FnMut(&BlockReport) + Send,
     {
-        let ingest: BoundedQueue<InFlight<'a>> =
-            BoundedQueue::new(self.config.ingest_capacity);
-        let emit: BoundedQueue<Scanned> = BoundedQueue::new(self.config.emit_capacity);
-
-        let (blocks, panics) = crossbeam::thread::scope(|scope| {
-            let emit_q = &emit;
-            let ingest_q = &ingest;
-            // Scanner: drain ingest in submission order, one block per
-            // scan call (= one telemetry/trace epoch), then close the
-            // emit queue so the emitter's drain is deterministic. The
-            // body runs under `catch_unwind` so a scanner death closes
-            // both queues deterministically (nothing left blocked) and
-            // the panic is re-raised on the *calling* thread after the
-            // joins — the same caller-side propagation the batch scan
-            // workers use — instead of aborting in `join().expect`.
-            let scanner = scope.spawn(move |_| {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut base = 0usize;
-                    while let Some(item) = ingest_q.pop() {
-                        let scanned =
-                            self.scan_block(detector, view, cache, sink, tracer, item, base);
-                        base += scanned.verdicts.len();
-                        if emit_q.push(scanned).is_err() {
-                            // Emitter died mid-stream: unblock the
-                            // producer too.
-                            ingest_q.close();
-                            break;
-                        }
-                    }
-                }));
-                if outcome.is_err() {
-                    ingest_q.close();
-                }
-                emit_q.close();
-                outcome
-            });
-
-            // Emitter: stamp latency, surface the report to the caller
-            // as it lands, keep it for the final StreamReport. A panic
-            // in the caller's `on_emit` closes both queues (so the
-            // scanner and producer unwedge) and propagates caller-side.
-            let mut on_emit = on_emit;
-            let emitter = scope.spawn(move |_| {
-                let mut blocks = Vec::new();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    while let Some(scanned) = emit_q.pop() {
-                        let report = BlockReport {
-                            number: scanned.number,
-                            base: scanned.base,
-                            verdicts: scanned.verdicts,
-                            latency: scanned.submitted_at.elapsed(),
-                        };
-                        on_emit(&report);
-                        blocks.push(report);
-                    }
-                }));
-                if outcome.is_err() {
-                    emit_q.close();
-                    ingest_q.close();
-                }
-                (blocks, outcome)
-            });
-
-            // Producer runs on the calling thread; when it returns (or
-            // panics — the closer is unconditional so the pipeline can
-            // always drain), shutdown begins.
-            let handle = StreamProducer { ingest: &ingest };
-            let produced = catch_unwind(AssertUnwindSafe(|| producer(&handle)));
-            ingest.close();
-
-            let scanned = flatten_join(scanner.join());
-            let (blocks, emitted) = match emitter.join() {
-                Ok((blocks, outcome)) => (blocks, outcome),
-                Err(payload) => (Vec::new(), Err(payload)),
-            };
-            // Propagation priority: the producer's own panic first
-            // (it is the caller's code and the root cause when
-            // present), then the emit callback's, then the scanner's.
-            let panics: Vec<Box<dyn Any + Send>> = [
-                produced.err(),
-                emitted.err(),
-                scanned.err(),
-            ]
-            .into_iter()
-            .flatten()
-            .collect();
-            (blocks, panics)
-        })
-        .unwrap_or_else(|payload| resume_unwind(payload));
-        if let Some(payload) = panics.into_iter().next() {
-            resume_unwind(payload);
-        }
-
-        let transactions = blocks.iter().map(BlockReport::len).sum();
-        let attacks = blocks
-            .iter()
-            .flat_map(|b| b.verdicts.iter())
-            .filter_map(Verdict::analysis)
-            .filter(|a| a.is_attack())
-            .count();
-        let quarantined = blocks
-            .iter()
-            .flat_map(|b| b.verdicts.iter())
-            .filter(|v| v.is_indeterminate())
-            .count();
-        StreamReport {
-            blocks,
-            ingest: ingest.stats(),
-            emit: emit.stats(),
-            transactions,
-            attacks,
-            quarantined,
-        }
+        let ctx = ScanContext { detector, view, cache, observer };
+        self.pipeline(&ctx, &[], producer, |_| Ok(()), on_emit).stream
     }
 
     /// Opens (recovering) a [`VerdictJournal`] on `media` for this
@@ -704,7 +558,7 @@ impl StreamService {
         detector: &LeiShen,
         view: &ChainView<'a>,
         cache: &TagCache,
-        journal: VerdictJournal<M>,
+        mut journal: VerdictJournal<M>,
         producer: P,
         on_emit: E,
     ) -> (DurableReport, VerdictJournal<M>)
@@ -714,6 +568,62 @@ impl StreamService {
         E: FnMut(&BlockReport) + Send,
     {
         let prefix = journal.durable_prefix();
+        let ctx = ScanContext { detector, view, cache, observer: &() };
+        let session = self.pipeline(
+            &ctx,
+            &prefix,
+            producer,
+            |scanned| journal.append_block(scanned.number, scanned.base as u64, &scanned.verdicts),
+            on_emit,
+        );
+        let report = DurableReport {
+            stream: session.stream,
+            skipped_blocks: session.skipped.0,
+            skipped_txs: session.skipped.1,
+            journal_blocks: journal.blocks().len(),
+            journal_txs: journal.txs(),
+            crashed: session.failure,
+        };
+        (report, journal)
+    }
+
+    /// The one pipeline behind [`StreamService::run`] and
+    /// [`StreamService::resume`]: the producer on the calling thread, a
+    /// scanner thread and an emitter thread.
+    ///
+    /// The scanner verifies each block of the durable `prefix` against
+    /// the replay and skips it, then scans the rest, one block per scan
+    /// call. `base` advances across skipped blocks too, so the
+    /// stream-relative quarantine rebasing stays corpus-absolute and
+    /// byte-identical to an uninterrupted run. A diverging replay records
+    /// [`StoreError::ResumeMismatch`] and closes the intake.
+    ///
+    /// The emitter hands each scanned block to `commit` — write-ahead,
+    /// before `on_emit` sees it — and stamps its latency after. When
+    /// `commit` fails, the emitter records the error, closes the intake
+    /// and keeps draining the emit queue *discarding* everything: work
+    /// scanned after the failure is neither durable nor surfaced, exactly
+    /// as if the process had died.
+    ///
+    /// Each station runs under `catch_unwind`, and a dead station closes
+    /// both queues, so nothing is left blocked; its panic is re-raised on
+    /// the calling thread after every station has stopped — the
+    /// producer's first (it is the caller's code and the root cause when
+    /// present), then the emit callback's, then the scanner's.
+    fn pipeline<'a, O, P, C, E>(
+        &self,
+        ctx: &ScanContext<'_, 'a, O>,
+        prefix: &[(u64, usize)],
+        producer: P,
+        mut commit: C,
+        mut on_emit: E,
+    ) -> Session
+    where
+        O: Observer + Sync,
+        P: FnOnce(&StreamProducer<'_, 'a>),
+        C: FnMut(&Scanned) -> Result<(), StoreError> + Send,
+        E: FnMut(&BlockReport) + Send,
+    {
         let ingest: BoundedQueue<InFlight<'a>> = BoundedQueue::new(self.config.ingest_capacity);
         let emit: BoundedQueue<Scanned> = BoundedQueue::new(self.config.emit_capacity);
         let failure: Mutex<Option<StoreError>> = Mutex::new(None);
@@ -722,24 +632,14 @@ impl StreamService {
             slot.get_or_insert(e);
         };
 
-        let (blocks, journal, skipped, panics) = crossbeam::thread::scope(|scope| {
-            let emit_q = &emit;
-            let ingest_q = &ingest;
-            let prefix = &prefix;
-            let fail = &fail;
+        let (blocks, skipped, panic) = crossbeam::thread::scope(|scope| {
+            let (ingest_q, emit_q, fail) = (&ingest, &emit, &fail);
 
-            // Scanner: verify-and-skip the durable prefix, then scan as
-            // usual. `base` advances across skipped blocks too, so the
-            // stream-relative quarantine rebasing stays corpus-absolute
-            // and byte-identical to an uninterrupted run.
             let scanner = scope.spawn(move |_| {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut base = 0usize;
-                    let mut skipped = 0usize;
-                    let mut skipped_txs = 0usize;
+                    let (mut base, mut skipped, mut skipped_txs) = (0, 0, 0);
                     while let Some(item) = ingest_q.pop() {
-                        if skipped < prefix.len() {
-                            let (number, len) = prefix[skipped];
+                        if let Some(&(number, len)) = prefix.get(skipped) {
                             if item.block.number != number || item.block.txs.len() != len {
                                 fail(StoreError::ResumeMismatch {
                                     context: format!(
@@ -757,10 +657,11 @@ impl StreamService {
                             base += len;
                             continue;
                         }
-                        let scanned =
-                            self.scan_block(detector, view, cache, &NoopSink, &NoopTracer, item, base);
+                        let scanned = self.scan_block(ctx, item, base);
                         base += scanned.verdicts.len();
                         if emit_q.push(scanned).is_err() {
+                            // Emitter died mid-stream: unblock the
+                            // producer too.
                             ingest_q.close();
                             break;
                         }
@@ -774,14 +675,6 @@ impl StreamService {
                 outcome
             });
 
-            // Emitter: owns the journal. Write-ahead — append (which
-            // flushes per the fsync policy) before the caller sees the
-            // report. On journal death, close the intake and keep
-            // draining the emit queue *discarding* everything: work
-            // scanned after the crash point is neither durable nor
-            // surfaced, exactly as if the process had died.
-            let mut on_emit = on_emit;
-            let mut journal = journal;
             let emitter = scope.spawn(move |_| {
                 let mut blocks = Vec::new();
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -790,114 +683,77 @@ impl StreamService {
                         if dead {
                             continue;
                         }
-                        match journal.append_block(
-                            scanned.number,
-                            scanned.base as u64,
-                            &scanned.verdicts,
-                        ) {
-                            Ok(()) => {
-                                let report = BlockReport {
-                                    number: scanned.number,
-                                    base: scanned.base,
-                                    verdicts: scanned.verdicts,
-                                    latency: scanned.submitted_at.elapsed(),
-                                };
-                                on_emit(&report);
-                                blocks.push(report);
-                            }
-                            Err(e) => {
-                                fail(e);
-                                ingest_q.close();
-                                dead = true;
-                            }
+                        if let Err(e) = commit(&scanned) {
+                            fail(e);
+                            ingest_q.close();
+                            dead = true;
+                            continue;
                         }
+                        let report = BlockReport {
+                            number: scanned.number,
+                            base: scanned.base,
+                            verdicts: scanned.verdicts,
+                            latency: scanned.submitted_at.elapsed(),
+                        };
+                        on_emit(&report);
+                        blocks.push(report);
                     }
                 }));
                 if outcome.is_err() {
                     emit_q.close();
                     ingest_q.close();
                 }
-                (blocks, journal, outcome)
+                (blocks, outcome)
             });
 
+            // Producer runs on the calling thread; when it returns (or
+            // panics — the closer is unconditional so the pipeline can
+            // always drain), shutdown begins.
             let handle = StreamProducer { ingest: &ingest };
             let produced = catch_unwind(AssertUnwindSafe(|| producer(&handle)));
             ingest.close();
 
-            let scanned = flatten_join(scanner.join());
-            let (blocks, journal, emitted) = match emitter.join() {
-                Ok((blocks, journal, outcome)) => (blocks, journal, outcome),
-                Err(_) => unreachable!("emitter body catches its own panics"),
+            let (skipped, scanned) = match scanner.join() {
+                Ok(Ok(counts)) => (counts, None),
+                Ok(Err(payload)) | Err(payload) => ((0, 0), Some(payload)),
             };
-            let (skipped, scanner_panic) = match scanned {
-                Ok(counts) => (counts, None),
-                Err(payload) => ((0, 0), Some(payload)),
-            };
-            let panics: Vec<Box<dyn Any + Send>> = [
-                produced.err(),
-                emitted.err(),
-                scanner_panic,
-            ]
-            .into_iter()
-            .flatten()
-            .collect();
-            (blocks, journal, skipped, panics)
+            let (blocks, emitted) = emitter.join().unwrap_or_else(|p| (Vec::new(), Err(p)));
+            (blocks, skipped, produced.err().or(emitted.err()).or(scanned))
         })
         .unwrap_or_else(|payload| resume_unwind(payload));
-        if let Some(payload) = panics.into_iter().next() {
+        if let Some(payload) = panic {
             resume_unwind(payload);
         }
 
-        let transactions = blocks.iter().map(BlockReport::len).sum();
-        let attacks = blocks
-            .iter()
-            .flat_map(|b| b.verdicts.iter())
-            .filter_map(Verdict::analysis)
-            .filter(|a| a.is_attack())
-            .count();
-        let quarantined = blocks
-            .iter()
-            .flat_map(|b| b.verdicts.iter())
-            .filter(|v| v.is_indeterminate())
-            .count();
+        let verdicts = || blocks.iter().flat_map(|b| b.verdicts.iter());
         let stream = StreamReport {
-            blocks,
+            transactions: verdicts().count(),
+            attacks: verdicts()
+                .filter_map(Verdict::analysis)
+                .filter(|a| a.is_attack())
+                .count(),
+            quarantined: verdicts().filter(|v| v.is_indeterminate()).count(),
             ingest: ingest.stats(),
             emit: emit.stats(),
-            transactions,
-            attacks,
-            quarantined,
+            blocks,
         };
-        let report = DurableReport {
+        Session {
             stream,
-            skipped_blocks: skipped.0,
-            skipped_txs: skipped.1,
-            journal_blocks: journal.blocks().len(),
-            journal_txs: journal.txs(),
-            crashed: failure.into_inner().unwrap_or_else(PoisonError::into_inner),
-        };
-        (report, journal)
+            skipped,
+            failure: failure.into_inner().unwrap_or_else(PoisonError::into_inner),
+        }
     }
 
     /// Scans one block under the stream policy: per-block deadline,
     /// stream-relative quarantine indices, and a whole-block
     /// `catch_unwind` backstop so a poisoned block degrades to
     /// indeterminate verdicts instead of wedging the scanner.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_block<'a, S, T>(
+    fn scan_block<O: Observer + Sync>(
         &self,
-        detector: &LeiShen,
-        view: &ChainView<'a>,
-        cache: &TagCache,
-        sink: &S,
-        tracer: &T,
-        item: InFlight<'a>,
+        ctx: &ScanContext<'_, '_, O>,
+        item: InFlight<'_>,
         base: usize,
-    ) -> Scanned
-    where
-        S: MetricsSink + Sync,
-        T: TraceSink + Sync,
-    {
+    ) -> Scanned {
         let InFlight {
             block,
             submitted_at,
@@ -907,8 +763,14 @@ impl StreamService {
             None => self.config.policy,
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.engine
-                .scan_resilient_with(detector, &block.txs, view, cache, &policy, sink, tracer)
+            self.engine.scan_resilient_with(
+                ctx.detector,
+                &block.txs,
+                ctx.view,
+                ctx.cache,
+                &policy,
+                ctx.observer,
+            )
         }));
         let mut verdicts = match outcome {
             Ok(scan) => scan.verdicts,
@@ -1137,8 +999,7 @@ mod tests {
             &detector,
             &view,
             &cache,
-            &NoopSink,
-            &NoopTracer,
+            &(),
             |producer| {
                 for (i, chunk) in txs.chunks(5).enumerate() {
                     producer.submit(Block {

@@ -1,35 +1,40 @@
-//! Pipeline telemetry — per-stage latency and per-transaction counters.
+//! Pipeline instrumentation — one [`Observer`] seam for per-stage
+//! latency, per-transaction counters, decision provenance and fault
+//! injection.
 //!
 //! The paper's evaluation (§VI) reports where LeiShen spends its time —
 //! journal extraction, transfer simplification, address tagging, pattern
 //! matching — but a batch scan only exposes end-to-end throughput unless
 //! each stage is instrumented. This module adds that instrumentation as a
-//! **zero-cost-when-disabled** sink:
+//! **zero-cost-when-disabled** observer:
 //!
-//! * [`MetricsSink`] — the hook trait. Its associated `ENABLED` constant
-//!   is checked at compile time, so a pipeline monomorphized over
-//!   [`NoopSink`] contains no timer reads, no counter stores, and no
-//!   branches: `if S::ENABLED { ... }` is dead code the optimizer
-//!   deletes. This is why the hot path takes a generic `S: MetricsSink`
-//!   instead of a `&dyn` object.
-//! * [`NoopSink`] — the default; every hook is an empty inlined body.
+//! * [`Observer`] — the hook trait. Its associated `METERED` and `TRACED`
+//!   constants are checked at compile time, so a pipeline monomorphized
+//!   over `()` contains no timer reads, no counter stores, no event
+//!   construction and no branches. Observers compose as pairs, `(A, B)`.
 //! * [`RecordingSink`] — used by benches and tests: collects raw
 //!   per-stage latency samples (for exact p50/p95/p99, not bucketed
-//!   estimates) and aggregates [`TxCounters`] into atomic totals shared
-//!   by all scan workers.
+//!   estimates) and aggregates [`TxCounters`] into totals shared by all
+//!   scan workers.
+//! * [`crate::trace::FlightRecorder`] keeps decision provenance and
+//!   [`crate::resilience::FaultInjector`] lands induced faults at stage
+//!   boundaries, both through the same trait.
 //!
 //! Counters live in a per-transaction [`TxCounters`] value built on the
-//! worker's stack — never in shared state — so recording a transaction is
-//! one `stage()` call per pipeline stage plus one `transaction()` call,
-//! and the counters themselves are allocation-free. See `DESIGN.md`'s
-//! telemetry section for the overhead budget.
+//! worker's stack — never in shared state — and one per-transaction probe
+//! reads the clock once per stage for laps and spans alike, so recording
+//! a transaction is one clock read per stage plus one
+//! [`Observer::transaction_done`] call. See `DESIGN.md`'s telemetry
+//! section for the overhead budget.
 
 use std::cell::RefCell;
 use std::time::Instant;
 
-use ethsim::TxId;
+use ethsim::{SpanId, TxId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+
+use crate::trace::{Decision, SpanRecord, TraceEvent, TxProvenance};
 
 /// The instrumented pipeline stages, in execution order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -121,10 +126,10 @@ pub struct TxCounters {
 
 /// Per-stage lap times of one transaction, in nanoseconds.
 ///
-/// Built on the worker's stack by the pipeline's `StageClock` and handed
-/// to the sink in a single [`MetricsSink::transaction`] call, so a
-/// recording sink synchronizes **once per transaction** instead of once
-/// per stage. Stages the transaction never reached (the short-circuit
+/// Built on the worker's stack by the pipeline's per-transaction probe
+/// and handed to the observer in a single [`Observer::transaction_done`]
+/// call, so a recording sink synchronizes **once per transaction** instead
+/// of once per stage. Stages the transaction never reached (the short-circuit
 /// path stops after flash-loan identification) hold no sample.
 #[derive(Clone, Copy, Debug)]
 pub struct StageLaps {
@@ -169,81 +174,182 @@ impl Default for StageLaps {
     }
 }
 
-/// Telemetry hook the pipeline calls.
+/// The one instrumentation hook the pipeline calls: metrics, decision
+/// provenance and fault injection all observe a transaction through it.
 ///
-/// `ENABLED` is an associated constant rather than a method so the
-/// pipeline can guard its `Instant::now()` reads with a compile-time
-/// check; implementations with `ENABLED = false` make the hook — and
-/// the timing around it — vanish from the generated code.
+/// `METERED` and `TRACED` are associated constants rather than methods so
+/// the pipeline guards what each side costs with compile-time checks: over
+/// `()`, which sets both `false`, it reads no clock, stores no counter and
+/// builds no event, and every hook is an empty inlined body. This is why
+/// the hot path takes a generic `O: Observer` instead of a `&dyn` object.
 ///
 /// The trait itself is not `Sync`: a worker thread records into its own
-/// [`MetricsSink::worker_front`], which needs no cross-thread
-/// synchronization at all and merges into the shared sink when dropped.
-/// Only the sink *shared across* workers (what `ScanEngine` takes) must
-/// be `Sync`.
-pub trait MetricsSink {
-    /// Whether the pipeline should time stages and build counters for
-    /// this sink at all.
-    const ENABLED: bool;
+/// [`Observer::front`], which needs no cross-thread synchronization and
+/// merges into the shared observer when dropped. Only the observer shared
+/// *across* workers (what `ScanEngine` takes) must be `Sync`.
+///
+/// Observers compose as pairs instead of wrapping each other: `(A, B)`
+/// delivers every hook to `A` and then to `B`, and pairs nest, so
+/// `(injector, (sink, recorder))` injects faults, meters and traces one
+/// scan. A shared reference observes through its referent, so borrowed
+/// observers compose too.
+pub trait Observer {
+    /// Whether the pipeline builds counters and times stage laps.
+    const METERED: bool;
 
-    /// The worker-local front of this sink (see
-    /// [`MetricsSink::worker_front`]).
-    type WorkerFront<'a>: MetricsSink
+    /// Whether the pipeline builds decision provenance.
+    const TRACED: bool;
+
+    /// The worker-local front of this observer (see [`Observer::front`]).
+    type Front<'a>: Observer
     where
         Self: 'a;
 
     /// A front for one worker: the worker records every transaction into
     /// the front — thread-local, no locks, no atomics — and the front
-    /// delivers the accumulated batch to the shared sink when dropped
-    /// (end of the worker's scan). For sinks that are already local
-    /// (including [`NoopSink`]) this is effectively `self`.
-    fn worker_front(&self) -> Self::WorkerFront<'_>;
+    /// delivers the accumulated batch to the shared observer when dropped
+    /// (end of the worker's scan).
+    fn front(&self) -> Self::Front<'_>;
 
-    /// Time stage laps for one in this many transactions (per worker).
-    /// `1` means every transaction. Counters are recorded regardless —
-    /// only the `Instant::now` reads around stage boundaries are
-    /// sampled, because on micro-second transactions the six clock
-    /// reads are the bulk of the instrumentation cost (see `DESIGN.md`'s
-    /// overhead budget).
+    /// Time stage laps for one in this many transactions (per worker),
+    /// when `METERED`; `1` means every transaction. Counters are recorded
+    /// regardless, and spans of a traced transaction are never thinned.
+    /// On an untraced transaction sampling saves the per-stage clock
+    /// reads, which on micro-second transactions are the bulk of the
+    /// instrumentation cost (see `DESIGN.md`'s overhead budget).
     fn stage_sampling(&self) -> u32 {
         1
     }
 
-    /// One transaction finished with these counters and stage laps
-    /// (empty when the transaction was not picked for stage timing).
-    fn transaction(&self, counters: &TxCounters, laps: &StageLaps);
+    /// The instant span offsets are measured from, when this observer
+    /// keeps traces.
+    fn epoch(&self) -> Option<Instant> {
+        None
+    }
 
     /// Transaction `tx` just crossed the closing boundary of `stage`.
     ///
-    /// Called for every transaction (not just stage-timed ones) on
-    /// enabled sinks, in stage order, from inside the pipeline — the
-    /// one hook that observes a transaction *mid-analysis*. The default
-    /// does nothing; the resilience layer's fault injector overrides it
-    /// to land induced panics and delays at exact pipeline stages.
+    /// Called for every transaction, in stage order, from inside the
+    /// pipeline — the one hook that observes a transaction
+    /// *mid-analysis*, and where the resilience layer's fault injector
+    /// lands induced panics and delays at exact pipeline stages.
     fn stage_boundary(&self, _tx: TxId, _stage: Stage) {}
 
-    /// One transaction was quarantined instead of analyzed (resilient
-    /// scans only). Counted next to [`MetricsSink::transaction`] so
-    /// operators can monitor degraded-mode rates per batch.
-    fn quarantined(&self) {}
-}
-
-/// The do-nothing sink: the hot path's default. Compiles to nothing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl MetricsSink for NoopSink {
-    const ENABLED: bool = false;
-
-    type WorkerFront<'a> = NoopSink;
-
-    #[inline(always)]
-    fn worker_front(&self) -> NoopSink {
-        NoopSink
+    /// One transaction finished. `counters` are filled when `METERED`,
+    /// and so are `laps` when the transaction was picked for stage
+    /// timing. `trace` holds its provenance when `TRACED`; the observer
+    /// that keeps it takes it, so a trace is moved, never cloned.
+    fn transaction_done(
+        &self,
+        _counters: &TxCounters,
+        _laps: &StageLaps,
+        _trace: &mut Option<TxProvenance>,
+    ) {
     }
 
+    /// One transaction was quarantined instead of analyzed (resilient
+    /// scans only). `trace` holds its degraded-mode provenance when
+    /// `TRACED`, for the observer that keeps it to take.
+    fn quarantined(&self, _trace: &mut Option<TxProvenance>) {}
+}
+
+/// The do-nothing observer: the hot path's default. Compiles to nothing.
+impl Observer for () {
+    const METERED: bool = false;
+    const TRACED: bool = false;
+
+    type Front<'a> = ();
+
     #[inline(always)]
-    fn transaction(&self, _counters: &TxCounters, _laps: &StageLaps) {}
+    fn front(&self) {}
+}
+
+/// `A` then `B`. The first metered member sets the stage sampling, and
+/// the first traced member takes the trace.
+impl<A: Observer, B: Observer> Observer for (A, B) {
+    const METERED: bool = A::METERED || B::METERED;
+    const TRACED: bool = A::TRACED || B::TRACED;
+
+    type Front<'a>
+        = (A::Front<'a>, B::Front<'a>)
+    where
+        Self: 'a;
+
+    fn front(&self) -> Self::Front<'_> {
+        (self.0.front(), self.1.front())
+    }
+
+    fn stage_sampling(&self) -> u32 {
+        if A::METERED {
+            self.0.stage_sampling()
+        } else {
+            self.1.stage_sampling()
+        }
+    }
+
+    fn epoch(&self) -> Option<Instant> {
+        self.0.epoch().or_else(|| self.1.epoch())
+    }
+
+    fn stage_boundary(&self, tx: TxId, stage: Stage) {
+        self.0.stage_boundary(tx, stage);
+        self.1.stage_boundary(tx, stage);
+    }
+
+    fn transaction_done(
+        &self,
+        counters: &TxCounters,
+        laps: &StageLaps,
+        trace: &mut Option<TxProvenance>,
+    ) {
+        self.0.transaction_done(counters, laps, trace);
+        self.1.transaction_done(counters, laps, trace);
+    }
+
+    fn quarantined(&self, trace: &mut Option<TxProvenance>) {
+        self.0.quarantined(trace);
+        self.1.quarantined(trace);
+    }
+}
+
+/// A shared reference observes through its referent.
+impl<O: Observer> Observer for &O {
+    const METERED: bool = O::METERED;
+    const TRACED: bool = O::TRACED;
+
+    type Front<'a>
+        = O::Front<'a>
+    where
+        Self: 'a;
+
+    fn front(&self) -> O::Front<'_> {
+        (**self).front()
+    }
+
+    fn stage_sampling(&self) -> u32 {
+        (**self).stage_sampling()
+    }
+
+    fn epoch(&self) -> Option<Instant> {
+        (**self).epoch()
+    }
+
+    fn stage_boundary(&self, tx: TxId, stage: Stage) {
+        (**self).stage_boundary(tx, stage);
+    }
+
+    fn transaction_done(
+        &self,
+        counters: &TxCounters,
+        laps: &StageLaps,
+        trace: &mut Option<TxProvenance>,
+    ) {
+        (**self).transaction_done(counters, laps, trace);
+    }
+
+    fn quarantined(&self, trace: &mut Option<TxProvenance>) {
+        (**self).quarantined(trace);
+    }
 }
 
 /// Everything a [`RecordingSink`] accumulates, behind one mutex — and
@@ -266,13 +372,12 @@ impl RecordingInner {
 /// A sink that records everything — raw stage samples and counter totals.
 ///
 /// Shared by reference across scan workers, but never written from them
-/// directly: each worker records into its [`RecordingSink::worker_front`]
-/// — plain thread-local stores, no locking — and the front merges into
-/// this sink's mutex once when the worker finishes. Calling
-/// [`MetricsSink::transaction`] on the shared sink directly also works
-/// (one mutex acquisition per call) and is what single-transaction
-/// callers do; the `obs` bench bin measures the end-to-end overhead
-/// against [`NoopSink`].
+/// directly: each worker records into its [`Observer::front`] — plain
+/// thread-local stores, no locking — and the front merges into this
+/// sink's mutex once when the worker finishes. Handing the shared sink
+/// to a single-transaction analysis also works (one mutex acquisition
+/// per transaction); the `obs` bench bin measures the end-to-end overhead
+/// against the unobserved `()`.
 ///
 /// [`RecordingSink::new`] times every transaction's stages — exact
 /// histograms, what tests want. [`RecordingSink::sampled`] times one in
@@ -348,12 +453,13 @@ impl RecordingSink {
     }
 }
 
-impl MetricsSink for RecordingSink {
-    const ENABLED: bool = true;
+impl Observer for RecordingSink {
+    const METERED: bool = true;
+    const TRACED: bool = false;
 
-    type WorkerFront<'a> = WorkerSink<'a>;
+    type Front<'a> = WorkerSink<'a>;
 
-    fn worker_front(&self) -> WorkerSink<'_> {
+    fn front(&self) -> WorkerSink<'_> {
         WorkerSink {
             shared: self,
             local: RefCell::new(RecordingInner::default()),
@@ -364,11 +470,11 @@ impl MetricsSink for RecordingSink {
         self.sample_every
     }
 
-    fn transaction(&self, c: &TxCounters, laps: &StageLaps) {
+    fn transaction_done(&self, c: &TxCounters, laps: &StageLaps, _: &mut Option<TxProvenance>) {
         self.inner.lock().record(c, laps);
     }
 
-    fn quarantined(&self) {
+    fn quarantined(&self, _: &mut Option<TxProvenance>) {
         self.inner.lock().totals.quarantined += 1;
     }
 }
@@ -378,37 +484,37 @@ impl MetricsSink for RecordingSink {
 /// Recording a transaction is a `RefCell` borrow plus plain integer
 /// stores — no mutex, no atomics — which is what keeps the metered scan
 /// within the < 5% overhead budget. The accumulated batch merges into
-/// the shared sink when the front drops, so by the time
-/// `ScanEngine::scan_metered` returns, the shared sink holds every
-/// worker's samples.
+/// the shared sink when the front drops, so by the time a metered scan
+/// returns, the shared sink holds every worker's samples.
 #[derive(Debug)]
 pub struct WorkerSink<'a> {
     shared: &'a RecordingSink,
     local: RefCell<RecordingInner>,
 }
 
-impl MetricsSink for WorkerSink<'_> {
-    const ENABLED: bool = true;
+impl Observer for WorkerSink<'_> {
+    const METERED: bool = true;
+    const TRACED: bool = false;
 
-    type WorkerFront<'b>
+    type Front<'b>
         = WorkerSink<'b>
     where
         Self: 'b;
 
     /// A front of a front still funnels into the same shared sink.
-    fn worker_front(&self) -> WorkerSink<'_> {
-        self.shared.worker_front()
+    fn front(&self) -> WorkerSink<'_> {
+        self.shared.front()
     }
 
     fn stage_sampling(&self) -> u32 {
         self.shared.sample_every
     }
 
-    fn transaction(&self, c: &TxCounters, laps: &StageLaps) {
+    fn transaction_done(&self, c: &TxCounters, laps: &StageLaps, _: &mut Option<TxProvenance>) {
         self.local.borrow_mut().record(c, laps);
     }
 
-    fn quarantined(&self) {
+    fn quarantined(&self, _: &mut Option<TxProvenance>) {
         self.local.borrow_mut().totals.quarantined += 1;
     }
 }
@@ -467,7 +573,7 @@ pub struct TxCountersTotal {
     /// Sum of [`TxCounters::patterns_matched`].
     pub patterns_matched: u64,
     /// Transactions quarantined instead of analyzed (resilient scans;
-    /// not part of [`TxCounters`] — see [`MetricsSink::quarantined`]).
+    /// not part of [`TxCounters`] — see [`Observer::quarantined`]).
     pub quarantined: u64,
 }
 
@@ -543,62 +649,106 @@ impl StageSummary {
     }
 }
 
-/// Times the pipeline stages of one transaction when the sink is enabled.
+/// One transaction's instrumentation while the pipeline runs: stage laps
+/// for a metered observer, spans and events for a traced one, from one
+/// clock read per stage boundary.
 ///
-/// A `StageClock` is constructed at pipeline entry, [`StageClock::lap`]
-/// marks each stage boundary into a stack-local [`StageLaps`], and
-/// [`StageClock::finish`] hands the laps plus the counters to the sink in
-/// one call — so the sink synchronizes once per transaction. With a
-/// disabled sink all three are free: the struct holds no timestamp and
-/// every method body is dead code behind `S::ENABLED`.
-pub(crate) struct StageClock {
+/// A `Probe` is built on the worker's stack at pipeline entry,
+/// [`Probe::lap`] marks each stage boundary, and [`Probe::finish`] hands
+/// the counters, laps and finished provenance to the observer in one call —
+/// so a recording observer synchronizes once per transaction. Over an
+/// observer that neither meters nor traces, everything but the
+/// `stage_boundary` call is dead code behind the two constants.
+pub(crate) struct Probe {
     tx: TxId,
-    start: Option<Instant>,
+    /// Whether this transaction's laps are recorded: metered, and picked
+    /// by stage sampling.
+    lapped: bool,
+    /// The span epoch and the previous clock read, while the transaction
+    /// is timed (lapped or traced).
+    timing: Option<(Instant, Instant)>,
     laps: StageLaps,
+    spans: Vec<SpanRecord>,
+    events: Vec<TraceEvent>,
 }
 
-impl StageClock {
-    /// Starts timing if `S` records and the caller picked this
-    /// transaction for stage timing; otherwise a no-op clock. `tx` is
-    /// reported to [`MetricsSink::stage_boundary`] at every lap.
-    pub fn start<S: MetricsSink>(_sink: &S, timed: bool, tx: TxId) -> Self {
-        StageClock {
+impl Probe {
+    /// Starts the probe of `tx`; `picked` is the stage-sampling decision.
+    /// The clock starts when the transaction is lapped or `O` traces.
+    pub fn start<O: Observer>(observer: &O, tx: TxId, picked: bool) -> Self {
+        let lapped = O::METERED && picked;
+        let timing = (lapped || O::TRACED).then(|| {
+            let now = Instant::now();
+            (observer.epoch().unwrap_or(now), now)
+        });
+        Probe {
             tx,
-            start: (S::ENABLED && timed).then(Instant::now),
+            lapped,
+            timing,
             laps: StageLaps::empty(),
+            spans: Vec::new(),
+            events: Vec::new(),
         }
     }
 
-    /// Marks the time since the previous lap (or start) as `stage`, and
-    /// restarts the clock for the next stage. Always announces the
-    /// boundary to the sink (even for transactions not picked for
-    /// stage timing) so mid-pipeline hooks see every transaction.
-    pub fn lap<S: MetricsSink>(&mut self, sink: &S, stage: Stage) {
-        if S::ENABLED {
-            sink.stage_boundary(self.tx, stage);
-            if self.start.is_some() {
-                // One clock read serves as both this lap's end and the
-                // next lap's start — the boundaries stay contiguous and
-                // the cost per stage is a single `Instant::now`.
+    /// Announces the closing boundary of `stage` to the observer (for
+    /// every transaction, timed or not, so mid-pipeline hooks see them
+    /// all). When timed, one clock read closes the stage's lap and span
+    /// and opens the next stage's, so the boundaries stay contiguous.
+    pub fn lap<O: Observer>(&mut self, observer: &O, stage: Stage) {
+        observer.stage_boundary(self.tx, stage);
+        if O::METERED || O::TRACED {
+            if let Some((epoch, last)) = &mut self.timing {
                 let now = Instant::now();
-                if let Some(prev) = self.start.replace(now) {
-                    self.laps.record(stage, (now - prev).as_nanos() as u64);
+                if self.lapped {
+                    self.laps.record(stage, (now - *last).as_nanos() as u64);
                 }
+                if O::TRACED {
+                    let offset =
+                        |at: Instant| at.saturating_duration_since(*epoch).as_nanos() as u64;
+                    self.spans.push(SpanRecord {
+                        stage,
+                        start_ns: offset(*last),
+                        end_ns: offset(now),
+                    });
+                }
+                *last = now;
             }
         }
     }
 
-    /// Delivers the recorded laps and `counters` to the sink.
-    pub fn finish<S: MetricsSink>(self, sink: &S, counters: &TxCounters) {
-        if S::ENABLED {
-            sink.transaction(counters, &self.laps);
+    /// Appends the event `f` builds — `f` is only called (and its
+    /// captures only touched) when `O` traces.
+    pub fn event<O: Observer>(&mut self, _observer: &O, f: impl FnOnce() -> TraceEvent) {
+        if O::TRACED {
+            self.events.push(f());
         }
+    }
+
+    /// Delivers `counters`, the laps and — when `O` traces — the
+    /// provenance closed by the decision `decide` builds.
+    pub fn finish<O: Observer>(
+        self,
+        observer: &O,
+        counters: &TxCounters,
+        decide: impl FnOnce() -> Decision,
+    ) {
+        let mut trace = O::TRACED.then(|| TxProvenance {
+            tx: self.tx,
+            span: SpanId::tx_root(self.tx),
+            worker: 0,
+            spans: self.spans,
+            events: self.events,
+            decision: decide(),
+        });
+        observer.transaction_done(counters, &self.laps, &mut trace);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{FlightRecorder, Reason};
 
     #[test]
     fn stages_index_contiguously() {
@@ -617,9 +767,10 @@ mod tests {
 
     #[test]
     fn noop_is_disabled() {
-        const { assert!(!NoopSink::ENABLED) }
-        // The hook is callable and inert.
-        NoopSink.transaction(&TxCounters::default(), &StageLaps::empty());
+        const { assert!(!<()>::METERED && !<()>::TRACED) }
+        // The hooks are callable and inert.
+        ().transaction_done(&TxCounters::default(), &StageLaps::empty(), &mut None);
+        ().quarantined(&mut None);
     }
 
     #[test]
@@ -642,7 +793,8 @@ mod tests {
     #[test]
     fn recording_sink_aggregates() {
         let sink = RecordingSink::new();
-        sink.transaction(
+        let record = |c: &TxCounters, laps| sink.transaction_done(c, &laps, &mut None);
+        record(
             &TxCounters {
                 account_transfers: 4,
                 flash_loans: 1,
@@ -655,10 +807,10 @@ mod tests {
                 patterns_tried: 6,
                 patterns_matched: 1,
             },
-            &tagging_laps(100),
+            tagging_laps(100),
         );
-        sink.transaction(&TxCounters::default(), &tagging_laps(300));
-        sink.transaction(&TxCounters::default(), &tagging_laps(200));
+        record(&TxCounters::default(), tagging_laps(300));
+        record(&TxCounters::default(), tagging_laps(200));
 
         let s = sink.stage_summary(Stage::Tagging);
         assert_eq!(s.count, 3);
@@ -681,23 +833,66 @@ mod tests {
     #[test]
     fn clock_records_only_when_enabled() {
         let sink = RecordingSink::new();
-        let mut clock = StageClock::start(&sink, true, TxId(1));
-        clock.lap(&sink, Stage::FlashLoan);
-        clock.finish(&sink, &TxCounters::default());
+        let mut probe = Probe::start(&sink, TxId(1), true);
+        probe.lap(&sink, Stage::FlashLoan);
+        probe.finish(&sink, &TxCounters::default(), Decision::default);
         assert_eq!(sink.stage_summary(Stage::FlashLoan).count, 1);
         assert_eq!(sink.transactions(), 1);
 
         // An un-picked transaction still records its counters.
-        let mut clock = StageClock::start(&sink, false, TxId(2));
-        clock.lap(&sink, Stage::FlashLoan);
-        clock.finish(&sink, &TxCounters::default());
+        let mut probe = Probe::start(&sink, TxId(2), false);
+        probe.lap(&sink, Stage::FlashLoan);
+        probe.finish(&sink, &TxCounters::default(), Decision::default);
         assert_eq!(sink.stage_summary(Stage::FlashLoan).count, 1);
         assert_eq!(sink.transactions(), 2);
 
-        let noop = NoopSink;
-        let mut clock = StageClock::start(&noop, true, TxId(3));
-        clock.lap(&noop, Stage::FlashLoan);
-        clock.finish(&noop, &TxCounters::default());
+        // Over `()` the probe is inert end to end: no event is built.
+        let mut probe = Probe::start(&(), TxId(3), true);
+        probe.event(&(), || unreachable!("unobserved pipelines build nothing"));
+        probe.lap(&(), Stage::FlashLoan);
+        probe.finish(&(), &TxCounters::default(), || unreachable!());
+    }
+
+    #[test]
+    fn probe_traces_every_transaction_and_pairs_share_it() {
+        let observer = (RecordingSink::sampled(1_000), FlightRecorder::new());
+        let mut probe = Probe::start(&observer, TxId(7), false);
+        probe.event(&observer, || TraceEvent::SimplifySummary {
+            kept: 1,
+            dropped: 2,
+            merged: 0,
+        });
+        probe.lap(&observer, Stage::FlashLoan);
+        probe.lap(&observer, Stage::Tagging);
+        let decision = || Decision {
+            flagged: false,
+            reasons: vec![Reason::NoPatternMatched],
+        };
+        probe.finish(&observer, &TxCounters::default(), decision);
+        let (sink, recorder) = &observer;
+
+        // The sink got the counters once, and no laps: the transaction
+        // was not picked for stage timing.
+        assert_eq!(sink.transactions(), 1);
+        assert_eq!(sink.stage_summary(Stage::FlashLoan).count, 0);
+        // The recorder got every span anyway, contiguous from one clock.
+        let t = recorder.find(TxId(7)).expect("recorded");
+        assert_eq!(t.span, SpanId::tx_root(TxId(7)));
+        assert_eq!(t.spans.len(), 2);
+        assert_eq!(t.spans[0].stage, Stage::FlashLoan);
+        assert_eq!(t.spans[0].end_ns, t.spans[1].start_ns);
+        assert_eq!(t.events.len(), 1);
+        assert_eq!(t.decision.reasons[0].code(), "no_pattern");
+
+        // Quarantines reach both members; the trace goes to the first
+        // traced one only.
+        let second = FlightRecorder::new();
+        let pair = (&observer, &second);
+        let mut trace = Some(recorder.find(TxId(7)).unwrap());
+        pair.quarantined(&mut trace);
+        assert!(trace.is_none());
+        assert_eq!(sink.counter_totals().quarantined, 1);
+        assert_eq!((recorder.recorded(), second.recorded()), (2, 0));
     }
 
     #[test]

@@ -13,18 +13,18 @@
 //!   `seq`s it matched, or the first predicate that failed),
 //! * the final [`Decision`] with a machine-readable [`Reason`] chain.
 //!
-//! The collection design mirrors the telemetry sink exactly:
+//! Traces are collected through the same [`Observer`] seam as the
+//! telemetry counters, guarded by its `TRACED` constant: over an observer
+//! that does not trace, every event closure and span is dead code.
 //!
-//! * [`TraceSink`] — compile-time-guarded hook trait; monomorphized over
-//!   [`NoopTracer`] every event closure and clock read is dead code.
-//! * [`FlightRecorder`] — the shared sink: a bounded ring that retains
-//!   the last *N* cleared traces and **pins** every trace whose decision
-//!   flagged an attack, so batch scans stay allocation-lean while
-//!   attacks are always fully recorded.
+//! * [`FlightRecorder`] — the shared traced observer: a bounded ring that
+//!   retains the last *N* cleared traces and **pins** every trace whose
+//!   decision flagged an attack, so batch scans stay allocation-lean
+//!   while attacks are always fully recorded.
 //! * [`WorkerTracer`] — a per-worker lock-free front ([`FlightRecorder`]'s
-//!   `worker_front`): traces accumulate in a thread-local buffer (itself
-//!   ring-bounded) and merge into the shared recorder in one mutex
-//!   acquisition when the worker finishes.
+//!   [`Observer::front`]): traces accumulate in a thread-local buffer
+//!   (itself ring-bounded) and merge into the shared recorder in one
+//!   mutex acquisition when the worker finishes.
 //!
 //! Exporters live in [`export`]: JSONL event logs (one trace per line,
 //! re-importable via [`export::parse_jsonl`]) and Chrome `trace_event`
@@ -40,13 +40,13 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
-use ethsim::{SpanId, TxId, TxRecord};
+use ethsim::{SpanId, TxId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::patterns::PatternKind;
 use crate::simplify::DropRule;
-use crate::telemetry::Stage;
+use crate::telemetry::{Observer, Stage, StageLaps, TxCounters};
 
 /// One structured provenance event, in pipeline order.
 ///
@@ -264,58 +264,6 @@ pub struct TxProvenance {
     pub decision: Decision,
 }
 
-/// The trace hook the pipeline calls — the provenance twin of
-/// [`crate::telemetry::MetricsSink`], with the same compile-time guard:
-/// `ENABLED` is an associated constant, so a pipeline monomorphized over
-/// [`NoopTracer`] contains no event construction, no clock reads and no
-/// branches.
-pub trait TraceSink {
-    /// Whether the pipeline should build provenance for this sink.
-    const ENABLED: bool;
-
-    /// The worker-local front of this sink (see
-    /// [`TraceSink::worker_front`]).
-    type WorkerFront<'a>: TraceSink
-    where
-        Self: 'a;
-
-    /// A front for one worker: traces recorded into the front accumulate
-    /// thread-locally — no locks — and merge into the shared sink when
-    /// the front drops.
-    fn worker_front(&self) -> Self::WorkerFront<'_>;
-
-    /// The shared epoch span offsets are measured from, when one exists.
-    fn epoch(&self) -> Option<Instant> {
-        None
-    }
-
-    /// This front's worker index (0 for shared/serial use).
-    fn worker_id(&self) -> u32 {
-        0
-    }
-
-    /// One transaction's finished provenance.
-    fn record(&self, trace: TxProvenance);
-}
-
-/// The do-nothing tracer: the hot path's default. Compiles to nothing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopTracer;
-
-impl TraceSink for NoopTracer {
-    const ENABLED: bool = false;
-
-    type WorkerFront<'a> = NoopTracer;
-
-    #[inline(always)]
-    fn worker_front(&self) -> NoopTracer {
-        NoopTracer
-    }
-
-    #[inline(always)]
-    fn record(&self, _trace: TxProvenance) {}
-}
-
 /// What the recorder (and each worker front) accumulates: the bounded
 /// ring of recent cleared traces plus the pinned flagged ones.
 #[derive(Debug, Default)]
@@ -474,14 +422,22 @@ impl FlightRecorder {
     fn absorb(&self, batch: RecorderBuf) {
         self.inner.lock().merge(self.capacity, batch);
     }
+
+    /// Takes and keeps a delivered trace.
+    fn keep(&self, trace: &mut Option<TxProvenance>) {
+        if let Some(trace) = trace.take() {
+            self.inner.lock().record(self.capacity, trace);
+        }
+    }
 }
 
-impl TraceSink for FlightRecorder {
-    const ENABLED: bool = true;
+impl Observer for FlightRecorder {
+    const METERED: bool = false;
+    const TRACED: bool = true;
 
-    type WorkerFront<'a> = WorkerTracer<'a>;
+    type Front<'a> = WorkerTracer<'a>;
 
-    fn worker_front(&self) -> WorkerTracer<'_> {
+    fn front(&self) -> WorkerTracer<'_> {
         WorkerTracer {
             shared: self,
             worker: self.next_worker.fetch_add(1, Ordering::Relaxed),
@@ -493,8 +449,12 @@ impl TraceSink for FlightRecorder {
         Some(self.epoch)
     }
 
-    fn record(&self, trace: TxProvenance) {
-        self.inner.lock().record(self.capacity, trace);
+    fn transaction_done(&self, _: &TxCounters, _: &StageLaps, trace: &mut Option<TxProvenance>) {
+        self.keep(trace);
+    }
+
+    fn quarantined(&self, trace: &mut Option<TxProvenance>) {
+        self.keep(trace);
     }
 }
 
@@ -508,102 +468,49 @@ pub struct WorkerTracer<'a> {
     local: RefCell<RecorderBuf>,
 }
 
-impl TraceSink for WorkerTracer<'_> {
-    const ENABLED: bool = true;
+impl Observer for WorkerTracer<'_> {
+    const METERED: bool = false;
+    const TRACED: bool = true;
 
-    type WorkerFront<'b>
+    type Front<'b>
         = WorkerTracer<'b>
     where
         Self: 'b;
 
     /// A front of a front still funnels into the same shared recorder.
-    fn worker_front(&self) -> WorkerTracer<'_> {
-        self.shared.worker_front()
+    fn front(&self) -> WorkerTracer<'_> {
+        self.shared.front()
     }
 
     fn epoch(&self) -> Option<Instant> {
         Some(self.shared.epoch)
     }
 
-    fn worker_id(&self) -> u32 {
-        self.worker
+    fn transaction_done(&self, _: &TxCounters, _: &StageLaps, trace: &mut Option<TxProvenance>) {
+        self.keep(trace);
     }
 
-    fn record(&self, trace: TxProvenance) {
-        self.local
-            .borrow_mut()
-            .record(self.shared.capacity, trace);
+    fn quarantined(&self, trace: &mut Option<TxProvenance>) {
+        self.keep(trace);
+    }
+}
+
+impl WorkerTracer<'_> {
+    /// Takes and keeps a delivered trace, stamped with this front's
+    /// worker index.
+    fn keep(&self, trace: &mut Option<TxProvenance>) {
+        if let Some(mut trace) = trace.take() {
+            trace.worker = self.worker;
+            self.local
+                .borrow_mut()
+                .record(self.shared.capacity, trace);
+        }
     }
 }
 
 impl Drop for WorkerTracer<'_> {
     fn drop(&mut self) {
         self.shared.absorb(self.local.take());
-    }
-}
-
-/// Builds one transaction's provenance on the worker's stack while the
-/// pipeline runs — the trace twin of the telemetry `StageClock`. With a
-/// disabled sink every method body is dead code behind `T::ENABLED`, and
-/// the event closures passed to [`TraceBuilder::event`] are never built.
-pub(crate) struct TraceBuilder {
-    timing: Option<(Instant, Instant)>,
-    spans: Vec<SpanRecord>,
-    events: Vec<TraceEvent>,
-}
-
-impl TraceBuilder {
-    /// Starts a builder; clocks start only when `T` records.
-    pub fn start<T: TraceSink>(tracer: &T) -> Self {
-        let timing = if T::ENABLED {
-            let now = Instant::now();
-            Some((tracer.epoch().unwrap_or(now), now))
-        } else {
-            None
-        };
-        TraceBuilder {
-            timing,
-            spans: Vec::new(),
-            events: Vec::new(),
-        }
-    }
-
-    /// Closes the span of `stage` at the current instant and opens the
-    /// next one.
-    pub fn lap<T: TraceSink>(&mut self, _tracer: &T, stage: Stage) {
-        if T::ENABLED {
-            if let Some((epoch, start)) = self.timing {
-                let now = Instant::now();
-                self.spans.push(SpanRecord {
-                    stage,
-                    start_ns: start.saturating_duration_since(epoch).as_nanos() as u64,
-                    end_ns: now.saturating_duration_since(epoch).as_nanos() as u64,
-                });
-                self.timing = Some((epoch, now));
-            }
-        }
-    }
-
-    /// Appends the event `f` builds — `f` is only called (and its
-    /// captures only touched) when `T` records.
-    pub fn event<T: TraceSink>(&mut self, _tracer: &T, f: impl FnOnce() -> TraceEvent) {
-        if T::ENABLED {
-            self.events.push(f());
-        }
-    }
-
-    /// Delivers the finished provenance to the sink.
-    pub fn finish<T: TraceSink>(self, tracer: &T, tx: &TxRecord, decision: Decision) {
-        if T::ENABLED {
-            tracer.record(TxProvenance {
-                tx: tx.id,
-                span: SpanId::tx_root(tx.id),
-                worker: tracer.worker_id(),
-                spans: self.spans,
-                events: self.events,
-                decision,
-            });
-        }
     }
 }
 
@@ -638,20 +545,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn noop_is_disabled() {
-        const { assert!(!NoopTracer::ENABLED) }
-        NoopTracer.record(trace(0, false));
+    /// Delivers `t` to `observer` as a finished transaction's trace.
+    fn record(observer: &impl Observer, t: TxProvenance) {
+        observer.transaction_done(&TxCounters::default(), &StageLaps::empty(), &mut Some(t));
     }
 
     #[test]
     fn ring_is_bounded_and_flags_are_pinned() {
         let rec = FlightRecorder::with_capacity(4);
         for i in 0..10 {
-            rec.record(trace(i, false));
+            record(&rec, trace(i, false));
         }
-        rec.record(trace(100, true));
-        rec.record(trace(101, true));
+        record(&rec, trace(100, true));
+        record(&rec, trace(101, true));
         assert_eq!(rec.recent().len(), 4, "ring bounded at capacity");
         assert_eq!(rec.recent()[0].tx, TxId(6), "oldest evicted first");
         assert_eq!(rec.pinned().len(), 2, "every flagged trace pinned");
@@ -659,7 +565,7 @@ mod tests {
         assert_eq!(rec.recorded(), 12);
         // Flagged traces survive arbitrary later traffic.
         for i in 200..300 {
-            rec.record(trace(i, false));
+            record(&rec, trace(i, false));
         }
         assert_eq!(rec.pinned().len(), 2);
         assert_eq!(rec.recent().len(), 4);
@@ -668,9 +574,9 @@ mod tests {
     #[test]
     fn traces_are_sorted_and_findable() {
         let rec = FlightRecorder::with_capacity(8);
-        rec.record(trace(5, false));
-        rec.record(trace(2, true));
-        rec.record(trace(9, false));
+        record(&rec, trace(5, false));
+        record(&rec, trace(2, true));
+        record(&rec, trace(9, false));
         let all = rec.traces();
         assert_eq!(
             all.iter().map(|t| t.tx.0).collect::<Vec<_>>(),
@@ -683,7 +589,7 @@ mod tests {
     #[test]
     fn annotate_appends_events_in_place() {
         let rec = FlightRecorder::new();
-        rec.record(trace(3, true));
+        record(&rec, trace(3, true));
         let ok = rec.annotate(TxId(3), |t| {
             t.events.push(TraceEvent::Heuristic {
                 name: "aggregator_initiator".into(),
@@ -700,62 +606,16 @@ mod tests {
     fn worker_front_merges_on_drop() {
         let rec = FlightRecorder::with_capacity(16);
         {
-            let front = rec.worker_front();
-            front.record(trace(1, false));
-            front.record(trace(2, true));
+            let front = rec.front();
+            record(&front, trace(1, false));
+            record(&front, trace(2, true));
             assert_eq!(rec.recorded(), 0, "nothing shared before the drop");
         }
         assert_eq!(rec.recorded(), 2);
         assert_eq!(rec.pinned().len(), 1);
         assert_eq!(rec.recent().len(), 1);
-        // Worker ids are distinct per front.
-        let a = rec.worker_front();
-        let b = rec.worker_front();
-        assert_ne!(a.worker_id(), b.worker_id());
-    }
-
-    #[test]
-    fn builder_records_spans_events_and_decision() {
-        let rec = FlightRecorder::new();
-        let tx = TxRecord {
-            id: TxId(7),
-            block: 1,
-            timestamp: 0,
-            from: ethsim::Address::from_u64(1),
-            to: ethsim::Address::from_u64(2),
-            function: "f".into(),
-            status: ethsim::TxStatus::Success,
-            trace: Default::default(),
-        };
-        let mut b = TraceBuilder::start(&rec);
-        b.event(&rec, || TraceEvent::SimplifySummary {
-            kept: 1,
-            dropped: 2,
-            merged: 0,
-        });
-        b.lap(&rec, Stage::FlashLoan);
-        b.lap(&rec, Stage::Tagging);
-        b.finish(
-            &rec,
-            &tx,
-            Decision {
-                flagged: false,
-                reasons: vec![Reason::NoPatternMatched],
-            },
-        );
-        let t = rec.find(TxId(7)).expect("recorded");
-        assert_eq!(t.span, SpanId::tx_root(TxId(7)));
-        assert_eq!(t.spans.len(), 2);
-        assert_eq!(t.spans[0].stage, Stage::FlashLoan);
-        assert!(t.spans[0].end_ns <= t.spans[1].start_ns + 1);
-        assert_eq!(t.events.len(), 1);
-        assert_eq!(t.decision.reasons[0].code(), "no_pattern");
-        assert!(!t.decision.names_pattern());
-
-        // A noop builder is inert end to end (and the closure never runs).
-        let mut b = TraceBuilder::start(&NoopTracer);
-        b.event(&NoopTracer, || unreachable!("disabled sinks build nothing"));
-        b.lap(&NoopTracer, Stage::FlashLoan);
-        b.finish(&NoopTracer, &tx, Decision::default());
+        // Each front stamps its own worker index.
+        record(&rec.front(), trace(3, false));
+        assert_ne!(rec.find(TxId(1)).unwrap().worker, rec.find(TxId(3)).unwrap().worker);
     }
 }

@@ -205,7 +205,8 @@ pub fn validate_record(tx: &TxRecord) -> Vec<RecordViolation> {
         }
     }
     for pair in trace.frames.windows(2) {
-        if pair[1].depth > pair[0].depth + 1 {
+        // Widened: a frame at depth `u16::MAX` may be followed by any depth.
+        if u32::from(pair[1].depth) > u32::from(pair[0].depth) + 1 {
             violations.push(RecordViolation::DepthJump { seq: pair[1].seq });
             break;
         }
@@ -436,6 +437,30 @@ mod tests {
             violations.iter().any(|v| matches!(v, RecordViolation::DepthJump { .. })),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn root_frame_at_the_depth_limit_is_one_violation() {
+        let frame = |seq, depth| crate::frame::CallFrame {
+            seq,
+            depth,
+            caller: Address::from_u64(1),
+            callee: Address::from_u64(2),
+            function: "f".into(),
+            value: 0,
+        };
+        for second in [0, u16::MAX] {
+            let mut record = sample();
+            record.trace = crate::tx::TxTrace {
+                frames: vec![frame(0, u16::MAX), frame(1, second)],
+                ..Default::default()
+            };
+            assert_eq!(
+                validate_record(&record),
+                vec![RecordViolation::RootFrameDepth { depth: u16::MAX }],
+                "second frame at depth {second}"
+            );
+        }
     }
 
     /// Helper building a frame that jumps two levels deeper than the

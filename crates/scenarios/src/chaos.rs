@@ -7,8 +7,9 @@
 //! and log entries pointing past the end of the journal. The resilient
 //! scan must quarantine every corrupted record with a machine-readable
 //! reason while leaving clean records untouched — corruption is
-//! per-transaction, so the mapping from [`FaultPlan`]
-//! assignments to mutated records is position-stable and seed-deterministic.
+//! per-transaction, so the mapping from
+//! [`FaultPlan`](leishen::resilience::FaultPlan) assignments to mutated
+//! records is position-stable and seed-deterministic.
 //!
 //! Not every corruption applies to every transaction (a trace with a
 //! single transfer cannot have its seqs shuffled). [`corrupt`] reports
@@ -89,7 +90,8 @@ pub fn corrupt(tx: &mut TxRecord, fault: InputFault) -> bool {
     }
 }
 
-/// Applies the input-fault half of a [`FaultPlan`] assignment to a corpus.
+/// Applies the input-fault half of a
+/// [`FaultPlan`](leishen::resilience::FaultPlan) assignment to a corpus.
 ///
 /// `plan[i]` corrupts `txs[i]`; induced (stage-level) faults are ignored
 /// here — they are wired into a

@@ -14,17 +14,23 @@
 //!   machine-readable reasons, clean records keep their ground-truth
 //!   verdicts — recall on uncorrupted attacks stays 100%;
 //! * a worker panic in the legacy (non-resilient) scan propagates as a
-//!   catchable panic on the caller, not a process abort.
+//!   catchable panic on the caller, not a process abort;
+//! * a composed observer delivers every hook to every member exactly
+//!   once: injecting, metering and tracing one scan equals three scans
+//!   that each observe one way.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ethsim::{validate_record, TxId, TxRecord};
 use leishen::resilience::{
-    FaultInjector, FaultPlan, InducedFault, PlannedFault, Verdict,
+    FaultInjector, FaultPlan, InducedFault, InputFault, PlannedFault, Verdict,
 };
-use leishen::telemetry::{NoopSink, RecordingSink, Stage};
-use leishen::trace::{FlightRecorder, NoopTracer, Reason};
-use leishen::{install_quiet_hook, ResilienceConfig, TagCache};
+use leishen::telemetry::{Observer, RecordingSink, Stage, STAGES};
+use leishen::trace::{FlightRecorder, Reason, TxProvenance};
+use leishen::{
+    install_quiet_hook, ChainView, LeiShen, ResilienceConfig, ResilientScan, ScanEngine, SeedCase,
+    TagCache,
+};
 use leishen_scenarios::chaos::apply_input_faults;
 
 mod common;
@@ -65,21 +71,15 @@ fn resilient_scan_is_verdict_identical_to_legacy_on_clean_corpus() {
     }
 }
 
-#[test]
-fn chaos_campaign_quarantines_corruption_and_keeps_recall() {
-    install_quiet_hook();
-    let seeds = seed_corpus();
-    let detector = paper_detector();
-
-    // 10% fault rate at the shared suite seed — the acceptance point
-    // the bench gates on. The seed appears in every failure message so
-    // a CI log line reproduces the exact fault assignment.
-    let chaos_seed = common::DEFAULT_SEED;
-    let plan = FaultPlan::new(chaos_seed, 100);
+/// The seed corpus under the 10% chaos plan at the shared suite seed — the
+/// acceptance point the bench gates on: the corrupted records, which
+/// input fault each position took, and the induced stage faults.
+fn chaos_corpus(seeds: &SeedCase) -> ChaosCorpus {
+    let plan = FaultPlan::new(common::DEFAULT_SEED, 100);
     let assignment = plan.assign(seeds.case.txs.len());
     let mut txs = seeds.case.txs.clone();
     let applied = apply_input_faults(&mut txs, &assignment);
-    let induced: Vec<(TxId, InducedFault)> = assignment
+    let induced = assignment
         .iter()
         .zip(&txs)
         .filter_map(|(slot, tx)| match slot {
@@ -87,6 +87,25 @@ fn chaos_campaign_quarantines_corruption_and_keeps_recall() {
             _ => None,
         })
         .collect();
+    ChaosCorpus { txs, applied, induced }
+}
+
+struct ChaosCorpus {
+    txs: Vec<TxRecord>,
+    applied: Vec<Option<InputFault>>,
+    induced: Vec<(TxId, InducedFault)>,
+}
+
+#[test]
+fn chaos_campaign_quarantines_corruption_and_keeps_recall() {
+    install_quiet_hook();
+    let seeds = seed_corpus();
+    let detector = paper_detector();
+
+    // The seed appears in every failure message so a CI log line
+    // reproduces the exact fault assignment.
+    let chaos_seed = common::DEFAULT_SEED;
+    let ChaosCorpus { txs, applied, induced } = chaos_corpus(&seeds);
     assert!(
         applied.iter().any(Option::is_some),
         "a 10% plan (seed={chaos_seed}) over {} txs should corrupt at least one record",
@@ -96,7 +115,8 @@ fn chaos_campaign_quarantines_corruption_and_keeps_recall() {
     let refs: Vec<&TxRecord> = txs.iter().collect();
     let view = seeds.case.view();
     for engine in engines() {
-        let injector = FaultInjector::new(RecordingSink::new(), induced.iter().copied());
+        let injector = FaultInjector::new(induced.iter().copied());
+        let sink = RecordingSink::new();
         let recorder = FlightRecorder::new();
         let scan = engine.scan_resilient_with(
             &detector,
@@ -104,8 +124,7 @@ fn chaos_campaign_quarantines_corruption_and_keeps_recall() {
             &view,
             &TagCache::new(),
             &ResilienceConfig::new(),
-            &injector,
-            &recorder,
+            &(&injector, (&sink, &recorder)),
         );
 
         // Survival: one verdict per input, always.
@@ -148,7 +167,7 @@ fn chaos_campaign_quarantines_corruption_and_keeps_recall() {
         // Telemetry agrees with the verdict stream.
         let quarantined = scan.verdicts.iter().filter(|v| v.is_indeterminate()).count();
         assert_eq!(scan.stats.quarantined, quarantined);
-        assert_eq!(injector.inner().counter_totals().quarantined, quarantined as u64);
+        assert_eq!(sink.counter_totals().quarantined, quarantined as u64);
     }
 }
 
@@ -169,15 +188,88 @@ fn legacy_scan_worker_panic_is_catchable_not_fatal() {
     let target_id = seeds.case.txs[target].id;
 
     for engine in engines() {
-        let injector = FaultInjector::new(
-            NoopSink,
-            [(target_id, InducedFault::Panic { stage: Stage::Tagging })],
-        );
+        let injector =
+            FaultInjector::new([(target_id, InducedFault::Panic { stage: Stage::Tagging })]);
         let cache = TagCache::new();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            engine.scan_instrumented(&detector, &refs, &view, &cache, &injector, &NoopTracer)
+            engine.scan_observed(&detector, &refs, &view, &cache, &injector)
         }));
         assert!(result.is_err(), "the injected panic must propagate");
         assert_eq!(injector.panics_fired(), 1);
     }
+}
+
+/// Worker assignment and span timings vary run to run; the content of a
+/// trace does not (the sanitizing of `tests/trace.rs`).
+fn sanitized(mut trace: TxProvenance) -> TxProvenance {
+    trace.worker = 0;
+    for span in &mut trace.spans {
+        span.start_ns = 0;
+        span.end_ns = 0;
+    }
+    trace
+}
+
+/// One 4-worker oversubscribed resilient scan of `refs` under the default
+/// policy, reporting to `observer`.
+fn resilient<O: Observer + Sync>(
+    engine: &ScanEngine,
+    detector: &LeiShen,
+    refs: &[&TxRecord],
+    view: &ChainView<'_>,
+    observer: &O,
+) -> ResilientScan {
+    let policy = ResilienceConfig::new();
+    engine.scan_resilient_with(detector, refs, view, &TagCache::new(), &policy, observer)
+}
+
+#[test]
+fn composed_observer_equals_its_members_observing_alone() {
+    install_quiet_hook();
+    let seeds = seed_corpus();
+    let detector = paper_detector();
+    let chaos = chaos_corpus(&seeds);
+    let refs: Vec<&TxRecord> = chaos.txs.iter().collect();
+    let view = seeds.case.view();
+    let engine = ScanEngine::new(4).allow_oversubscription();
+    // A ring that holds every trace, so no eviction order can differ.
+    let recorder = || FlightRecorder::with_capacity(refs.len());
+
+    let composed = (
+        FaultInjector::new(chaos.induced.iter().copied()),
+        (RecordingSink::new(), recorder()),
+    );
+    let together = resilient(&engine, &detector, &refs, &view, &composed);
+    let (injected, (metered, traced)) = &composed;
+
+    let injector = FaultInjector::new(chaos.induced.iter().copied());
+    let sink = RecordingSink::new();
+    let traces = recorder();
+    for (member, alone) in [
+        ("injector", resilient(&engine, &detector, &refs, &view, &injector)),
+        ("sink", resilient(&engine, &detector, &refs, &view, &sink)),
+        ("recorder", resilient(&engine, &detector, &refs, &view, &traces)),
+    ] {
+        assert_eq!(alone.verdicts, together.verdicts, "{member} alone changed a verdict");
+    }
+    assert!(injector.panics_fired() > 0 && injector.delays_fired() > 0);
+    assert_eq!(
+        (injected.panics_fired(), injected.delays_fired()),
+        (injector.panics_fired(), injector.delays_fired())
+    );
+    assert_eq!(metered.counter_totals(), sink.counter_totals());
+    assert!(metered.counter_totals().quarantined > 0);
+    for stage in STAGES {
+        assert_eq!(
+            metered.stage_samples(stage).len(),
+            sink.stage_samples(stage).len(),
+            "stage {stage}"
+        );
+    }
+    assert_eq!(traced.recorded(), traces.recorded());
+    assert_eq!(traced.recorded(), refs.len() as u64, "one trace per transaction");
+    let content = |r: &FlightRecorder| -> Vec<TxProvenance> {
+        r.traces().into_iter().map(sanitized).collect()
+    };
+    assert_eq!(content(traced), content(&traces));
 }

@@ -822,9 +822,11 @@ proptest! {
 }
 
 /// `ethsim::validate_record` as it stood before clean records took a
-/// one-walk, allocation-free path, kept verbatim as the reference the
-/// current validator must equal: it collects the three seq streams into
-/// vectors, merges them into one and sorts it.
+/// one-walk, allocation-free path, kept as the reference the current
+/// validator must equal: it collects the three seq streams into vectors,
+/// merges them into one and sorts it. One edit since: the depth-jump
+/// check widens to `u32`, as the validator's does, so a frame at depth
+/// `u16::MAX` no longer overflows it.
 mod sort_based {
     use ethsim::{RecordViolation, SpanId, TxRecord, MAX_AMOUNT};
 
@@ -889,7 +891,7 @@ mod sort_based {
             }
         }
         for pair in trace.frames.windows(2) {
-            if pair[1].depth > pair[0].depth + 1 {
+            if u32::from(pair[1].depth) > u32::from(pair[0].depth) + 1 {
                 violations.push(RecordViolation::DepthJump { seq: pair[1].seq });
                 break;
             }
@@ -962,7 +964,9 @@ fn seq_at(trace: &mut ethsim::TxTrace, pick: usize) -> Option<&mut u32> {
 /// Applies one perturbation `kind` to `trace`, at entries chosen by `a`
 /// and `b`: 0 swaps two seqs, 1 duplicates one, 2 drops an entry, 3 puts
 /// a seq at the span limit, 4 deepens a frame by 1 to 3 levels past its
-/// predecessor, 5 sets an amount at or near the amount limit.
+/// predecessor (saturating at the depth limit), 5 sets an amount at or
+/// near the amount limit, 6 sets a frame's depth to the limit,
+/// `u16::MAX`.
 fn perturb(trace: &mut ethsim::TxTrace, kind: u8, a: usize, b: usize) {
     let span_limit = 1u32 << ethsim::SpanId::SEQ_BITS;
     match kind {
@@ -998,12 +1002,16 @@ fn perturb(trace: &mut ethsim::TxTrace, kind: u8, a: usize, b: usize) {
         4 if !trace.frames.is_empty() => {
             let i = a % trace.frames.len();
             let below = if i == 0 { 0 } else { trace.frames[i - 1].depth };
-            trace.frames[i].depth = below + 1 + (b % 3) as u16;
+            trace.frames[i].depth = below.saturating_add(1 + (b % 3) as u16);
         }
         5 if !trace.transfers.is_empty() => {
             let amounts = [ethsim::MAX_AMOUNT - 1, ethsim::MAX_AMOUNT, u128::MAX];
             let i = a % trace.transfers.len();
             trace.transfers[i].amount = amounts[b % amounts.len()];
+        }
+        6 if !trace.frames.is_empty() => {
+            let i = a % trace.frames.len();
+            trace.frames[i].depth = u16::MAX;
         }
         _ => {}
     }
@@ -1012,7 +1020,7 @@ fn perturb(trace: &mut ethsim::TxTrace, kind: u8, a: usize, b: usize) {
 proptest! {
     #[test]
     fn validator_matches_the_sort_based_reference_on_perturbed_records(
-        edits in prop::collection::vec((0u8..6, 0usize..1 << 16, 0usize..1 << 16), 1..4)
+        edits in prop::collection::vec((0u8..7, 0usize..1 << 16, 0usize..1 << 16), 1..4)
     ) {
         // Every seed record takes the same edits: a case costs microseconds
         // per record, and each record puts them at other entries.

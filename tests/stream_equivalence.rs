@@ -35,7 +35,6 @@ use leishen::evade::{chain_name, evade_search, EvadeConfig};
 use leishen::fuzz::Operator;
 use leishen::resilience::{Fault, Verdict};
 use leishen::stream::{Block, StreamConfig, StreamService};
-use leishen::telemetry::NoopSink;
 use leishen::trace::FlightRecorder;
 use leishen::{
     ChainView, DetectorConfig, FuzzRng, InputFault, Labels, LeiShen, ResilienceConfig,
@@ -172,7 +171,6 @@ fn check_roundtrip(label: &str, records: &[&TxRecord], view: &ChainView<'_>, cur
             view,
             &TagCache::new(),
             &policy,
-            &NoopSink,
             &batch_traces,
         );
 
@@ -187,7 +185,6 @@ fn check_roundtrip(label: &str, records: &[&TxRecord], view: &ChainView<'_>, cur
         &detector,
         view,
         &cache,
-        &NoopSink,
         &stream_traces,
         |producer| {
             for block in blocks {

@@ -19,8 +19,8 @@ use std::time::Duration;
 use ethsim::{TxId, TxRecord};
 use leishen::resilience::{InducedFault, Verdict};
 use leishen::stream::{Block, StreamConfig, StreamService};
-use leishen::telemetry::{NoopSink, Stage};
-use leishen::trace::{FlightRecorder, NoopTracer, Reason};
+use leishen::telemetry::Stage;
+use leishen::trace::{FlightRecorder, Reason};
 use leishen::{
     install_quiet_hook, FaultInjector, ResilienceConfig, TagCache,
 };
@@ -61,8 +61,7 @@ fn full_queue_blocks_producer_without_dropping_transactions() {
         &detector,
         &view,
         &cache,
-        &NoopSink,
-        &NoopTracer,
+        &(),
         |producer| {
             for block in blocks {
                 assert!(producer.submit(block), "stream must accept every block");
@@ -128,7 +127,6 @@ fn poisoned_block_quarantines_without_stalling_the_stream() {
         &detector,
         &view,
         &cache,
-        &NoopSink,
         &recorder,
         |producer| {
             for block in blocks_of(&records, block_size) {
@@ -176,10 +174,8 @@ fn induced_stage_panics_degrade_single_transactions_mid_stream() {
         .position(|e| e.flagged)
         .expect("corpus has attacks");
     let target_id = records[target].id;
-    let injector = FaultInjector::new(
-        NoopSink,
-        [(target_id, InducedFault::Panic { stage: Stage::Tagging })],
-    );
+    let injector =
+        FaultInjector::new([(target_id, InducedFault::Panic { stage: Stage::Tagging })]);
 
     let service = StreamService::new(
         2,
@@ -192,7 +188,6 @@ fn induced_stage_panics_degrade_single_transactions_mid_stream() {
         &view,
         &cache,
         &injector,
-        &NoopTracer,
         |producer| {
             for block in blocks_of(&records, 5) {
                 producer.submit(block);
@@ -235,8 +230,7 @@ fn drain_on_shutdown_flushes_every_in_flight_tx_exactly_once() {
         &detector,
         &view,
         &cache,
-        &NoopSink,
-        &NoopTracer,
+        &(),
         |producer| {
             for block in blocks_of(&records, 1) {
                 producer.submit(block);

@@ -53,7 +53,7 @@ fn parallel_counters_equal_serial_reference() {
     let serial_sink = RecordingSink::new();
     let mut scratch = AnalysisScratch::default();
     for record in &records {
-        detector.analyze_metered(
+        detector.analyze_observed(
             record,
             &view,
             &mut |addr| tag_of(addr, view.labels(), view.creations()),
