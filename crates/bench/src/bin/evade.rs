@@ -25,34 +25,12 @@
 use std::path::Path;
 use std::time::Instant;
 
-use leishen::evade::{
-    chain_name, evade_search, evasion_reproducer, EvadeConfig, EvadeOp, EvadeReport,
-};
-use leishen::fuzz::{reproducer_to_json, DiffOracle, SeedCase};
+use leishen::evade::{evade_search, evasion_reproducer, EvadeConfig, EvadeReport};
+use leishen::fuzz::{chain_name, reproducer_to_json, Confusion, DiffOracle, SeedCase};
 use leishen::trace::json::fmt_f64;
 use leishen::{DetectorConfig, LeiShen};
 use leishen_bench::{cli_flag, cli_str, cli_u64, print_table};
 use leishen_scenarios::fuzz::seed_case;
-
-/// Per-transaction confusion counts of the default detector over the
-/// mixed corpus, against ground-truth flags.
-#[derive(Default)]
-struct Confusion {
-    tp: usize,
-    fp: usize,
-    tn: usize,
-    fn_: usize,
-}
-
-impl Confusion {
-    fn precision(&self) -> f64 {
-        if self.tp + self.fp == 0 { 1.0 } else { self.tp as f64 / (self.tp + self.fp) as f64 }
-    }
-
-    fn recall(&self) -> f64 {
-        if self.tp + self.fn_ == 0 { 1.0 } else { self.tp as f64 / (self.tp + self.fn_) as f64 }
-    }
-}
 
 fn main() {
     let seed = cli_u64("--seed", 42);
@@ -159,18 +137,14 @@ fn main() {
     );
 }
 
+/// Per-transaction confusion of the default detector over the mixed
+/// corpus, against ground-truth flags.
 fn mixed_confusion(seeds: &SeedCase) -> Confusion {
     let detector = LeiShen::new(DetectorConfig::paper());
     let view = seeds.case.view();
     let mut c = Confusion::default();
     for (tx, expect) in seeds.case.txs.iter().zip(&seeds.expect) {
-        let got = detector.analyze(tx, &view).is_attack();
-        match (expect.flagged, got) {
-            (true, true) => c.tp += 1,
-            (false, true) => c.fp += 1,
-            (false, false) => c.tn += 1,
-            (true, false) => c.fn_ += 1,
-        }
+        c.tally(expect.flagged, detector.analyze(tx, &view).is_attack());
     }
     c
 }
@@ -189,15 +163,12 @@ fn persist_reproducers(
     std::fs::create_dir_all(dir).expect("create reproducers dir");
     for (i, evasion) in report.evasions.iter().enumerate() {
         let repro = evasion_reproducer(evasion, shrink_oracle, validate_oracle, seed);
-        let path = dir.join(format!(
-            "evade_{label}_{i:02}_{}.json",
-            chain_name(&evasion.chain).replace('+', "__")
-        ));
+        let chain = chain_name(&evasion.mutant.chain);
+        let path = dir.join(format!("evade_{label}_{i:02}_{}.json", chain.replace('+', "__")));
         std::fs::write(&path, reproducer_to_json(&repro)).expect("write evade reproducer");
         println!(
-            "  reproducer [{label}] target={} chain={} -> {}",
+            "  reproducer [{label}] target={} chain={chain} -> {}",
             evasion.target,
-            chain_name(&evasion.chain),
             path.display()
         );
     }
@@ -229,20 +200,12 @@ fn report_json(report: &EvadeReport) -> String {
     let by_chain_len: Vec<String> =
         report.by_chain_len.iter().map(|n| n.to_string()).collect();
     let mut operators = String::new();
-    for (i, op) in EvadeOp::ALL.into_iter().enumerate() {
+    for (i, ((op, applied), (_, evading))) in
+        report.op_applied.iter().zip(&report.op_evading).enumerate()
+    {
         if i > 0 {
             operators.push(',');
         }
-        let applied = report
-            .op_applied
-            .iter()
-            .find(|(o, _)| *o == op)
-            .map_or(0, |(_, n)| *n);
-        let evading = report
-            .op_evading
-            .iter()
-            .find(|(o, _)| *o == op)
-            .map_or(0, |(_, n)| *n);
         operators.push_str(&format!(
             "{{\"name\":\"{}\",\"applied\":{applied},\"evading\":{evading}}}",
             op.name()
@@ -256,8 +219,8 @@ fn report_json(report: &EvadeReport) -> String {
         evasions.push_str(&format!(
             "{{\"target\":{},\"chain\":\"{}\",\"chain_len\":{}}}",
             e.target,
-            chain_name(&e.chain),
-            e.chain.len()
+            chain_name(&e.mutant.chain),
+            e.mutant.chain.len()
         ));
     }
     format!(

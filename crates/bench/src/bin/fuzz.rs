@@ -10,25 +10,23 @@
 //!
 //! ```text
 //! cargo run --release -p leishen-bench --bin fuzz -- [--seed 42]
-//!     [--mutants 600] [--smoke] [--no-shrink]
+//!     [--mutants 600] [--smoke]
 //!     [--out BENCH_fuzz.json] [--violations-dir tests/corpus]
 //!     [--save-samples N]
 //! ```
 //!
-//! `FUZZ_MUTANTS` overrides the mutant budget from the environment (CI
-//! keeps the fixed default). `--save-samples N` persists the first N
-//! passing mutants as corpus documents (for committing regression seeds).
+//! `--save-samples N` persists the first N passing mutants, one per
+//! operator, as corpus documents (for committing regression seeds).
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use leishen::fuzz::{
-    reproducer_to_json, run_campaign, CampaignConfig, CampaignReport, Mutant, Reproducer,
+    reproducer_to_json, run_campaign, CampaignConfig, CampaignReport, DiffOracle, FuzzCase,
+    Mutant, Reproducer, SeedCase,
 };
 use leishen::trace::json::fmt_f64;
 use leishen::DetectorConfig;
-use leishen::fuzz::DiffOracle;
-use leishen::fuzz::SeedCase;
 use leishen_baselines::{DefiRanger, ExplorerLeiShen, VolatilityMonitor};
 use leishen_bench::{cli_flag, cli_str, cli_u64, print_table};
 use leishen_scenarios::fuzz::seed_case;
@@ -45,16 +43,11 @@ struct BaselineStats {
 
 fn main() {
     let seed = cli_u64("--seed", 42);
-    let default_mutants = std::env::var("FUZZ_MUTANTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(600);
-    let mutants = cli_u64("--mutants", default_mutants) as usize;
+    let mutants = cli_u64("--mutants", 600) as usize;
     let smoke = cli_flag("--smoke");
     let out_path = cli_str("--out", "BENCH_fuzz.json");
     let violations_dir = cli_str("--violations-dir", "tests/corpus");
     let save_samples = cli_u64("--save-samples", 0) as usize;
-    let shrink = !cli_flag("--no-shrink");
 
     println!("building seed corpus (22 attacks + benign/confuser workloads)...");
     let build_start = Instant::now();
@@ -69,8 +62,7 @@ fn main() {
     );
 
     let oracle = DiffOracle::new(DetectorConfig::paper());
-    let mut config = CampaignConfig::new(seed, mutants);
-    config.shrink = shrink;
+    let config = CampaignConfig::new(seed, mutants);
 
     // Baseline differential sampling: every 8th preserving mutant also
     // runs the three baseline detectors, per transaction, against ground
@@ -83,18 +75,13 @@ fn main() {
         [BaselineStats::default(), BaselineStats::default(), BaselineStats::default()];
     let mut preserving_seen = 0usize;
     let mut samples: Vec<Reproducer> = Vec::new();
-    let mut sampled_ops: Vec<&'static str> = Vec::new();
 
     let campaign_start = Instant::now();
     let report = run_campaign(&seeds, &oracle, &config, |mutant: &Mutant, _verdicts| {
-        if save_samples > 0
-            && samples.len() < save_samples
-            && !sampled_ops.contains(&mutant.operator.name())
-        {
-            sampled_ops.push(mutant.operator.name());
+        if samples.len() < save_samples && samples.iter().all(|s| s.operator != mutant.label()) {
             samples.push(Reproducer::new(&trim_sample(mutant, &seeds), seed, ""));
         }
-        if !mutant.operator.is_preserving() {
+        if !mutant.chain.iter().all(|op| op.is_preserving()) {
             return;
         }
         preserving_seen += 1;
@@ -167,8 +154,8 @@ fn trim_sample(mutant: &Mutant, seeds: &SeedCase) -> Mutant {
     keep.dedup();
     keep.truncate(4);
     Mutant {
-        operator: mutant.operator,
-        case: leishen::fuzz::FuzzCase {
+        chain: mutant.chain.clone(),
+        case: FuzzCase {
             txs: keep.iter().map(|&i| mutant.case.txs[i].clone()).collect(),
             labels: mutant.case.labels.clone(),
             creations: mutant.case.creations.clone(),
@@ -182,13 +169,13 @@ fn persist_violations(report: &CampaignReport, seed: u64, dir: &Path) {
     let all = report.seed_violation.iter().chain(&report.violations);
     for v in all {
         std::fs::create_dir_all(dir).expect("create violations dir");
-        let mut repro = Reproducer::new(&v.shrunk, seed, v.message.clone());
-        repro.operator = v.operator.clone();
-        let path: PathBuf = dir.join(format!("violation_{}_{:04}.json", v.operator, v.iteration));
+        let repro = Reproducer::new(&v.shrunk, seed, v.message.clone());
+        let path: PathBuf =
+            dir.join(format!("violation_{}_{:04}.json", repro.operator, v.iteration));
         std::fs::write(&path, reproducer_to_json(&repro)).expect("write reproducer");
         eprintln!(
             "violation [{}] iter {} ({}): {} — shrunk to {} tx(s) in {} oracle runs -> {}",
-            v.operator,
+            repro.operator,
             v.iteration,
             v.code,
             v.message,
@@ -269,7 +256,7 @@ fn render_json(
         }
         violations.push_str(&format!(
             "{{\"operator\":\"{}\",\"iteration\":{},\"code\":\"{}\",\"shrunk_txs\":{},\"shrink_runs\":{}}}",
-            v.operator,
+            v.shrunk.label(),
             v.iteration,
             v.code,
             v.shrunk.case.txs.len(),

@@ -1,11 +1,11 @@
 //! The beam search over operator chains.
 //!
 //! Per flagged target transaction the search grows chains of
-//! [`EvadeOp`]s breadth-first: every candidate in the beam is extended by
-//! every operator, candidates that stop being flagged (while every
-//! appended transaction stays clean and the profitability invariant
-//! holds) are recorded as [`Evasion`]s, and the rest are ranked by how
-//! much detector signal remains (fewer pattern matches = closer to
+//! [`Operator::ECONOMIC`] operators breadth-first: every candidate in the
+//! beam is extended by every operator, candidates that stop being flagged
+//! (while every appended transaction stays clean and the profitability
+//! invariant holds) are recorded as [`Evasion`]s, and the rest are ranked
+//! by how much detector signal remains (fewer pattern matches = closer to
 //! evading) and truncated to the beam width. The whole search draws from
 //! one [`FuzzRng`], so a `(seed case, detector, config)` triple fully
 //! determines the report — CI replays are exact.
@@ -15,11 +15,11 @@ use std::collections::HashSet;
 use ethsim::Address;
 
 use crate::detector::LeiShen;
+use crate::fuzz::shrink::shrink_txs;
 use crate::fuzz::{
-    shrink_mutant, DiffOracle, FuzzCase, FuzzRng, Mutant, Operator, Reproducer, SeedCase, TxExpect,
+    chain_name, shrink_mutant, DiffOracle, FuzzRng, Mutant, Operator, Reproducer, SeedCase,
 };
 
-use super::ops::EvadeOp;
 use super::profit::{attacker_cluster, gain_signs_preserved, profit_profile, ProfitProfile};
 
 /// Search budget and shape. The two presets are [`EvadeConfig::new`]
@@ -62,15 +62,11 @@ impl EvadeConfig {
 pub struct Evasion {
     /// Index of the evaded transaction in the seed case.
     pub target: usize,
-    /// Operator chain that produced it, in application order.
-    pub chain: Vec<EvadeOp>,
-    /// The mutated history.
-    pub case: FuzzCase,
-    /// Expectations for the mutated history: the seed's refined
-    /// expectations (the target *stays* expected-flagged — that is what
-    /// makes the evasion an oracle failure) plus a cleared expectation
-    /// per appended transaction.
-    pub expect: Vec<TxExpect>,
+    /// The evading mutant: its chain in application order, the mutated
+    /// history, and the seed's refined expectations (the target *stays*
+    /// expected-flagged — that is what makes the evasion an oracle
+    /// failure) plus a cleared expectation per appended transaction.
+    pub mutant: Mutant,
     /// The attacker cluster's per-token net gains after mutation.
     pub profile: ProfitProfile,
 }
@@ -91,10 +87,10 @@ pub struct EvadeReport {
     pub by_chain_len: Vec<usize>,
     /// Successful applications per operator (candidate produced, whether
     /// or not it went on to evade).
-    pub op_applied: Vec<(EvadeOp, usize)>,
+    pub op_applied: Vec<(Operator, usize)>,
     /// Evasions whose chain contains the operator (an evasion with a
     /// multi-operator chain counts once per distinct operator).
-    pub op_evading: Vec<(EvadeOp, usize)>,
+    pub op_evading: Vec<(Operator, usize)>,
 }
 
 impl EvadeReport {
@@ -105,12 +101,12 @@ impl EvadeReport {
             invariant_rejections: 0,
             targets_probed: 0,
             by_chain_len: vec![0; max_chain_len],
-            op_applied: EvadeOp::ALL.iter().map(|&op| (op, 0)).collect(),
-            op_evading: EvadeOp::ALL.iter().map(|&op| (op, 0)).collect(),
+            op_applied: Operator::ECONOMIC.iter().map(|&op| (op, 0)).collect(),
+            op_evading: Operator::ECONOMIC.iter().map(|&op| (op, 0)).collect(),
         }
     }
 
-    fn bump(table: &mut [(EvadeOp, usize)], op: EvadeOp) {
+    fn bump(table: &mut [(Operator, usize)], op: Operator) {
         if let Some(entry) = table.iter_mut().find(|(o, _)| *o == op) {
             entry.1 += 1;
         }
@@ -119,9 +115,7 @@ impl EvadeReport {
 
 /// One beam candidate.
 struct Cand {
-    case: FuzzCase,
-    expect: Vec<TxExpect>,
-    chain: Vec<EvadeOp>,
+    mutant: Mutant,
     cluster: HashSet<Address>,
     /// Remaining detector signal on the target (pattern-match count);
     /// the beam keeps the lowest-signal candidates.
@@ -155,13 +149,8 @@ pub fn evade_search(seed: &SeedCase, detector: &LeiShen, config: &EvadeConfig) -
         let base_profile = profit_profile(&seed.case.txs, &base_cluster);
         let base_score =
             detector.analyze(&seed.case.txs[target], &base_view).matches.len();
-        let mut beam = vec![Cand {
-            case: seed.case.clone(),
-            expect: seed.expect.clone(),
-            chain: Vec::new(),
-            cluster: base_cluster,
-            score: base_score,
-        }];
+        let mut beam =
+            vec![Cand { mutant: seed.as_mutant(), cluster: base_cluster, score: base_score }];
         let mut found_for_target = 0usize;
 
         for depth in 1..=config.max_chain_len {
@@ -169,64 +158,50 @@ pub fn evade_search(seed: &SeedCase, detector: &LeiShen, config: &EvadeConfig) -
             for cand in &beam {
                 // Re-analyze under the candidate's own view: operators
                 // consult the analysis (loans, matches) for targets.
-                let cand_view = cand.case.view();
-                let analysis = detector.analyze(&cand.case.txs[target], &cand_view);
-                for op in EvadeOp::ALL {
+                let cand_view = cand.mutant.case.view();
+                let analysis = detector.analyze(&cand.mutant.case.txs[target], &cand_view);
+                for op in Operator::ECONOMIC {
                     if report.attempts >= config.max_attempts {
                         continue 'targets;
                     }
                     report.attempts += 1;
                     let mut cluster = cand.cluster.clone();
-                    let Some(applied) =
-                        op.apply(&cand.case, target, &analysis, &mut cluster, &mut rng)
+                    let Some(mutant) =
+                        op.apply_economic(&cand.mutant, target, &analysis, &mut cluster, &mut rng)
                     else {
                         continue;
                     };
                     EvadeReport::bump(&mut report.op_applied, op);
 
-                    let profile = profit_profile(&applied.case.txs, &cluster);
+                    let profile = profit_profile(&mutant.case.txs, &cluster);
                     if !gain_signs_preserved(&base_profile, &profile) {
                         report.invariant_rejections += 1;
                         continue;
                     }
 
-                    let mut expect = cand.expect.clone();
-                    for _ in 0..applied.appended {
-                        expect.push(TxExpect::flag_only(false));
-                    }
-
-                    let view = applied.case.view();
-                    let target_analysis = detector.analyze(&applied.case.txs[target], &view);
-                    let tail = applied.case.txs.len() - applied.appended;
-                    let appended_clean = applied.case.txs[tail..]
+                    // Only the transactions this step appended must stay
+                    // clean; the target must stop being flagged.
+                    let view = mutant.case.view();
+                    let target_analysis = detector.analyze(&mutant.case.txs[target], &view);
+                    let appended_clean = mutant.case.txs[cand.mutant.case.txs.len()..]
                         .iter()
                         .all(|tx| !detector.analyze(tx, &view).is_attack());
-                    let chain: Vec<EvadeOp> =
-                        cand.chain.iter().copied().chain([op]).collect();
 
                     if !target_analysis.is_attack() && appended_clean {
                         report.by_chain_len[depth - 1] += 1;
-                        for evading in EvadeOp::ALL {
-                            if chain.contains(&evading) {
+                        for evading in Operator::ECONOMIC {
+                            if mutant.chain.contains(&evading) {
                                 EvadeReport::bump(&mut report.op_evading, evading);
                             }
                         }
-                        report.evasions.push(Evasion {
-                            target,
-                            chain,
-                            case: applied.case,
-                            expect,
-                            profile,
-                        });
+                        report.evasions.push(Evasion { target, mutant, profile });
                         found_for_target += 1;
                         if found_for_target >= config.max_per_target {
                             continue 'targets;
                         }
                     } else {
                         next.push(Cand {
-                            case: applied.case,
-                            expect,
-                            chain,
+                            mutant,
                             cluster,
                             score: target_analysis.matches.len(),
                         });
@@ -246,12 +221,6 @@ pub fn evade_search(seed: &SeedCase, detector: &LeiShen, config: &EvadeConfig) -
     report
 }
 
-/// `"op+op+…"` — the chain as a stable display string (reproducer
-/// `operator` fields are `"evade:<chain_name>"`).
-pub fn chain_name(chain: &[EvadeOp]) -> String {
-    chain.iter().map(|op| op.name()).collect::<Vec<_>>().join("+")
-}
-
 /// Shrinks an evasion and wraps it as a persistable [`Reproducer`].
 ///
 /// The reduction predicate is *dual*: the weakened oracle must keep
@@ -260,8 +229,9 @@ pub fn chain_name(chain: &[EvadeOp]) -> String {
 /// A single-oracle shrink would happily strip the attack itself — the
 /// weakened detector misses an empty transaction just as well — and the
 /// reproducer would stop documenting anything. Whole transactions are
-/// removed under the dual predicate first (the history collapses to the
-/// evaded transaction); the generic item-level
+/// removed under the dual predicate first (the shrinker's
+/// whole-transaction pass; the history collapses to the evaded
+/// transaction); the generic item-level
 /// [`shrink_mutant`] then runs as an opportunistic second pass, kept only
 /// if its result still satisfies both oracles.
 pub fn evasion_reproducer(
@@ -270,37 +240,11 @@ pub fn evasion_reproducer(
     fixed: &DiffOracle,
     seed: u64,
 ) -> Reproducer {
-    // Operator here is a placeholder for the Mutant shape (the shrinker
-    // never reads it); the reproducer's free-form name is set below.
-    let mut keep = Mutant {
-        operator: Operator::SplitRepay,
-        case: evasion.case.clone(),
-        expect: evasion.expect.clone(),
-    };
     let dual = |m: &Mutant| -> bool {
         matches!(weakened.check_mutant(m), Err(v) if v.code() == "wrong_flag")
             && fixed.check_mutant(m).is_ok()
     };
-    // Pass 1: whole-transaction removal under the dual predicate.
-    loop {
-        let mut changed = false;
-        let mut i = 0;
-        while i < keep.case.txs.len() && keep.case.txs.len() > 1 {
-            let mut candidate = keep.clone();
-            candidate.case.txs.remove(i);
-            candidate.expect.remove(i);
-            if dual(&candidate) {
-                keep = candidate;
-                changed = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Pass 2: item-level reduction, validated against the dual predicate.
+    let mut keep = shrink_txs(evasion.mutant.clone(), dual);
     let (shrunk, _runs) = shrink_mutant(&keep, weakened);
     if dual(&shrunk) {
         keep = shrunk;
@@ -308,11 +252,9 @@ pub fn evasion_reproducer(
     let violation = format!(
         "tx #{}: still profitable but no longer flagged (chain {})",
         evasion.target,
-        chain_name(&evasion.chain)
+        chain_name(&evasion.mutant.chain)
     );
-    let mut repro = Reproducer::new(&keep, seed, violation);
-    repro.operator = format!("evade:{}", chain_name(&evasion.chain));
-    repro
+    Reproducer::new(&keep, seed, violation)
 }
 
 #[cfg(test)]
@@ -321,9 +263,9 @@ mod tests {
 
     #[test]
     fn chain_names_join_operator_names() {
-        assert_eq!(chain_name(&[EvadeOp::PartialRepay]), "partial_repay");
+        assert_eq!(chain_name(&[Operator::PartialRepay]), "partial_repay");
         assert_eq!(
-            chain_name(&[EvadeOp::LoanSplit, EvadeOp::PartialRepay]),
+            chain_name(&[Operator::LoanSplit, Operator::PartialRepay]),
             "loan_split+partial_repay"
         );
         assert_eq!(chain_name(&[]), "");
@@ -331,11 +273,15 @@ mod tests {
 
     #[test]
     fn operator_names_round_trip() {
-        for op in EvadeOp::ALL {
-            assert_eq!(EvadeOp::from_name(op.name()), Some(op));
+        // A reproducer label names its operators; each name must lead back
+        // to exactly one operator of the registry.
+        let all: Vec<Operator> =
+            Operator::METAMORPHIC.into_iter().chain(Operator::ECONOMIC).collect();
+        for op in &all {
             assert_eq!(op.to_string(), op.name());
+            let back: Vec<&Operator> = all.iter().filter(|o| o.name() == op.name()).collect();
+            assert_eq!(back, [op]);
         }
-        assert_eq!(EvadeOp::from_name("no_such_op"), None);
     }
 
     #[test]
@@ -352,7 +298,7 @@ mod tests {
     fn report_tables_cover_every_operator() {
         let r = EvadeReport::new(3);
         assert_eq!(r.by_chain_len.len(), 3);
-        assert_eq!(r.op_applied.len(), EvadeOp::ALL.len());
-        assert_eq!(r.op_evading.len(), EvadeOp::ALL.len());
+        assert_eq!(r.op_applied.len(), Operator::ECONOMIC.len());
+        assert_eq!(r.op_evading.len(), Operator::ECONOMIC.len());
     }
 }

@@ -8,30 +8,26 @@
 //! against the same mutants).
 
 use super::ops::{OpFamily, Operator};
-use super::oracle::DiffOracle;
+use super::oracle::{DiffOracle, Violation};
 use super::rng::FuzzRng;
 use super::shrink::shrink_mutant;
 use super::{CaseVerdict, Mutant, SeedCase};
 
-/// Campaign budget and switches.
+/// Campaign budget.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// RNG seed; equal seeds replay the identical campaign.
     pub seed: u64,
     /// Target number of *generated* mutants (not counting inapplicable
-    /// operator draws).
+    /// operator draws). Draws are capped at `4 × mutants + 64`, so a seed
+    /// where most operators are inapplicable still terminates.
     pub mutants: usize,
-    /// Hard cap on operator draws, so a seed where most operators are
-    /// inapplicable still terminates.
-    pub max_attempts: usize,
-    /// Shrink failing mutants (disable for raw triage speed).
-    pub shrink: bool,
 }
 
 impl CampaignConfig {
-    /// Default budget: `mutants` mutants from `seed`, shrinking enabled.
+    /// A budget of `mutants` mutants from `seed`.
     pub fn new(seed: u64, mutants: usize) -> Self {
-        CampaignConfig { seed, mutants, max_attempts: mutants * 4 + 64, shrink: true }
+        CampaignConfig { seed, mutants }
     }
 }
 
@@ -51,22 +47,30 @@ pub struct OperatorStats {
 /// One oracle violation, shrunk and ready to persist.
 #[derive(Clone, Debug)]
 pub struct ViolationReport {
-    /// Operator name (`"seed"` for the unmutated pre-pass).
-    pub operator: String,
     /// Campaign iteration (0 for the pre-pass).
     pub iteration: usize,
-    /// Stable violation code ([`super::Violation::code`]).
+    /// Stable violation code ([`Violation::code`]).
     pub code: &'static str,
     /// Human-readable violation message at find time.
     pub message: String,
-    /// The shrunk reproducing mutant.
+    /// The shrunk reproducing mutant; its [`Mutant::label`] names the
+    /// operator (`"seed"` for the unmutated pre-pass).
     pub shrunk: Mutant,
     /// Oracle runs the shrink spent.
     pub shrink_runs: usize,
 }
 
-/// Detector confusion counters over preserving mutants, judged against
-/// ground truth (scenario metadata), per transaction.
+impl ViolationReport {
+    /// Shrinks the failing `mutant` found at `iteration`.
+    fn shrink(mutant: &Mutant, iteration: usize, v: &Violation, oracle: &DiffOracle) -> Self {
+        let (shrunk, shrink_runs) = shrink_mutant(mutant, oracle);
+        ViolationReport { iteration, code: v.code(), message: v.to_string(), shrunk, shrink_runs }
+    }
+}
+
+/// Per-transaction detector confusion counters, judged against ground
+/// truth (scenario metadata): the campaign's over preserving mutants, the
+/// `evade` bench's over the seed corpus.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Confusion {
     /// Ground-truth attacks the detector flagged.
@@ -80,20 +84,41 @@ pub struct Confusion {
 }
 
 impl Confusion {
+    /// Counts one transaction: ground truth `expected`, verdict `got`.
+    pub fn tally(&mut self, expected: bool, got: bool) {
+        match (expected, got) {
+            (true, true) => self.tp += 1,
+            (false, true) => self.fp += 1,
+            (false, false) => self.tn += 1,
+            (true, false) => self.fn_ += 1,
+        }
+    }
+
+    /// Precision `tp / (tp + fp)` (1 when nothing was flagged).
+    pub fn precision(&self) -> f64 {
+        ratio(self.tp, self.tp + self.fp, 1.0)
+    }
+
+    /// Recall `tp / (tp + fn)` (1 when there was nothing to catch).
+    pub fn recall(&self) -> f64 {
+        ratio(self.tp, self.tp + self.fn_, 1.0)
+    }
+
     /// False-positive rate `fp / (fp + tn)` (0 when the denominator is 0).
     pub fn fp_rate(&self) -> f64 {
-        ratio(self.fp, self.fp + self.tn)
+        ratio(self.fp, self.fp + self.tn, 0.0)
     }
 
     /// False-negative rate `fn / (fn + tp)` (0 when the denominator is 0).
     pub fn fn_rate(&self) -> f64 {
-        ratio(self.fn_, self.fn_ + self.tp)
+        ratio(self.fn_, self.fn_ + self.tp, 0.0)
     }
 }
 
-fn ratio(num: usize, den: usize) -> f64 {
+/// `num / den`, or `empty` when the denominator is 0.
+fn ratio(num: usize, den: usize, empty: f64) -> f64 {
     if den == 0 {
-        0.0
+        empty
     } else {
         num as f64 / den as f64
     }
@@ -128,9 +153,8 @@ impl CampaignReport {
 
 /// Runs a campaign: a pre-pass of the oracle over the unmutated seed,
 /// then `config.mutants` mutants drawn round-robin from
-/// [`Operator::ALL`]. Failing mutants are shrunk (when enabled) and
-/// reported; passing mutants are handed to `on_mutant` with their
-/// verdicts.
+/// [`Operator::METAMORPHIC`]. Failing mutants are shrunk and reported;
+/// passing mutants are handed to `on_mutant` with their verdicts.
 pub fn run_campaign(
     seed: &SeedCase,
     oracle: &DiffOracle,
@@ -141,7 +165,7 @@ pub fn run_campaign(
         requested: config.mutants,
         generated: 0,
         skipped: 0,
-        per_operator: Operator::ALL
+        per_operator: Operator::METAMORPHIC
             .into_iter()
             .map(|operator| OperatorStats { operator, generated: 0, skipped: 0, violations: 0 })
             .collect(),
@@ -154,30 +178,21 @@ pub fn run_campaign(
     // and four-way agreement; otherwise every mutant would just echo the
     // same detector bug.
     if let Err(v) = oracle.check(&seed.case, &seed.expect) {
-        let mutant = seed.as_mutant(Operator::ReorderTxs);
-        let (shrunk, shrink_runs) =
-            if config.shrink { shrink_mutant(&mutant, oracle) } else { (mutant, 0) };
-        report.seed_violation = Some(ViolationReport {
-            operator: "seed".to_string(),
-            iteration: 0,
-            code: v.code(),
-            message: v.to_string(),
-            shrunk,
-            shrink_runs,
-        });
+        report.seed_violation = Some(ViolationReport::shrink(&seed.as_mutant(), 0, &v, oracle));
     }
 
     let mut rng = FuzzRng::new(config.seed);
+    let max_draws = config.mutants * 4 + 64;
     let mut draws = 0usize;
-    while report.generated < config.mutants && draws < config.max_attempts {
-        let op = Operator::ALL[draws % Operator::ALL.len()];
+    while report.generated < config.mutants && draws < max_draws {
+        let op = Operator::METAMORPHIC[draws % Operator::METAMORPHIC.len()];
         let iteration = draws + 1;
         draws += 1;
         let stats = report
             .per_operator
             .iter_mut()
             .find(|s| s.operator == op)
-            .expect("per_operator covers ALL");
+            .expect("per_operator covers METAMORPHIC");
         let Some(mutant) = op.apply(seed, &mut rng) else {
             report.skipped += 1;
             stats.skipped += 1;
@@ -189,28 +204,14 @@ pub fn run_campaign(
             Ok(verdicts) => {
                 if op.family() == OpFamily::Preserving {
                     for (v, e) in verdicts.iter().zip(&mutant.expect) {
-                        match (e.flagged, v.flagged) {
-                            (true, true) => report.confusion.tp += 1,
-                            (false, true) => report.confusion.fp += 1,
-                            (false, false) => report.confusion.tn += 1,
-                            (true, false) => report.confusion.fn_ += 1,
-                        }
+                        report.confusion.tally(e.flagged, v.flagged);
                     }
                 }
                 on_mutant(&mutant, &verdicts);
             }
             Err(v) => {
                 stats.violations += 1;
-                let (shrunk, shrink_runs) =
-                    if config.shrink { shrink_mutant(&mutant, oracle) } else { (mutant, 0) };
-                report.violations.push(ViolationReport {
-                    operator: op.name().to_string(),
-                    iteration,
-                    code: v.code(),
-                    message: v.to_string(),
-                    shrunk,
-                    shrink_runs,
-                });
+                report.violations.push(ViolationReport::shrink(&mutant, iteration, &v, oracle));
             }
         }
     }

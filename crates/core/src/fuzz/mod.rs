@@ -2,8 +2,9 @@
 //!
 //! The golden corpus replays 22 fixed attacks; this module is the
 //! *generative* adversary that probes the pipeline's invariants around
-//! them. It mutates whole `ethsim` transaction histories with two operator
-//! families (paper terminology: metamorphic relations over the detector):
+//! them. [`ops`] is the one registry of mutation operators over whole
+//! `ethsim` transaction histories, in three families (paper terminology:
+//! metamorphic relations over the detector, plus economic restructurings):
 //!
 //! * **detection-preserving** operators ([`ops::Operator::is_preserving`])
 //!   — transaction reordering, benign-transaction interleaving,
@@ -11,10 +12,13 @@
 //!   wrapping, and repay splitting (re-fused by the coalescing pre-pass) —
 //!   that must not change any verdict;
 //! * **detection-breaking** operators — flash-loan leg removal — that must
-//!   flip a flagged transaction to cleared.
+//!   flip a flagged transaction to cleared;
+//! * **economic** operators, which keep the attacker's profit and carry no
+//!   verdict contract.
 //!
-//! The guided *evasion search* that composes economic mutations on top of
-//! this infrastructure lives in [`crate::evade`].
+//! Two searches walk the registry: this module's [`campaign`] draws the
+//! metamorphic operators at random, and the beam-guided evasion search in
+//! [`crate::evade`] composes chains of economic ones.
 //!
 //! Every mutant runs through four pipeline configurations (serial
 //! reference, 4-worker parallel scan, metered scan, traced scan) and the
@@ -36,8 +40,10 @@ pub mod persist;
 pub mod rng;
 pub mod shrink;
 
-pub use campaign::{run_campaign, CampaignConfig, CampaignReport, OperatorStats, ViolationReport};
-pub use ops::{rename_case, OpFamily, Operator};
+pub use campaign::{
+    run_campaign, CampaignConfig, CampaignReport, Confusion, OperatorStats, ViolationReport,
+};
+pub use ops::{chain_name, rename_case, split_resell_legs, OpFamily, Operator};
 pub use oracle::{DiffOracle, Violation};
 pub use persist::{reproducer_from_json, reproducer_to_json, Reproducer};
 pub use rng::FuzzRng;
@@ -136,12 +142,30 @@ impl CaseVerdict {
 /// A mutated case plus the expectations it must satisfy.
 #[derive(Clone, Debug)]
 pub struct Mutant {
-    /// The operator that produced this mutant.
-    pub operator: Operator,
+    /// The operators that produced this mutant, in application order:
+    /// one metamorphic operator, a chain of economic ones, or none for the
+    /// unmutated seed.
+    pub chain: Vec<Operator>,
     /// The mutated history.
     pub case: FuzzCase,
     /// One expectation per transaction in `case.txs`, same order.
     pub expect: Vec<TxExpect>,
+}
+
+impl Mutant {
+    /// Stable label naming how the mutant was made (reproducer `operator`
+    /// fields, file names): `"seed"` for an empty chain, the operator's
+    /// name for a metamorphic mutant, `"evade:<a>+<b>"` for an economic
+    /// chain.
+    pub fn label(&self) -> String {
+        match self.chain.first() {
+            None => "seed".to_string(),
+            Some(op) if op.family() == OpFamily::Economic => {
+                format!("evade:{}", chain_name(&self.chain))
+            }
+            Some(_) => chain_name(&self.chain),
+        }
+    }
 }
 
 /// A prepared fuzzing seed: the base history, ground-truth expectations
@@ -199,10 +223,10 @@ impl SeedCase {
         SeedCase { case, expect, refs, pool }
     }
 
-    /// The seed as a mutant-shaped value (for running the oracle on the
-    /// unmutated history — the campaign's pre-pass).
-    pub fn as_mutant(&self, operator: Operator) -> Mutant {
-        Mutant { operator, case: self.case.clone(), expect: self.expect.clone() }
+    /// The seed as a mutant with an empty chain (the campaign's pre-pass,
+    /// the root of an evasion search).
+    pub fn as_mutant(&self) -> Mutant {
+        Mutant { chain: Vec::new(), case: self.case.clone(), expect: self.expect.clone() }
     }
 }
 

@@ -1,7 +1,8 @@
-//! Metamorphic mutation operators.
+//! The mutation-operator registry.
 //!
-//! Each operator transforms a whole [`FuzzCase`] and states, as part of its
-//! contract, what must happen to the verdicts:
+//! Every operator that probes the detector is one [`Operator`], in one of
+//! three families ([`OpFamily`]), and states as part of its contract what
+//! must happen to the verdicts:
 //!
 //! * **Preserving** operators exploit invariances of the pipeline — the
 //!   detector analyzes transactions independently (reordering,
@@ -13,15 +14,32 @@
 //! * **Breaking** operators remove exactly the evidence a detection rests
 //!   on — the Table II identification signatures — and must flip
 //!   flagged → cleared.
+//! * **Economic** operators restructure one flagged transaction while
+//!   keeping the attacker cluster's exact per-token net position
+//!   ([`crate::evade::profit`]). They carry no verdict contract — whether
+//!   a restructuring flips the verdict is what the evasion search
+//!   measures — but each is built to be detection-neutral against the
+//!   default config, so a flip under a candidate config is a genuine blind
+//!   spot of that config.
+//!
+//! Two searches each walk their own table: the random metamorphic campaign
+//! ([`super::campaign`]) draws [`Operator::METAMORPHIC`] round-robin
+//! through [`Operator::apply`], and the beam-guided evasion search
+//! ([`crate::evade::search`]) composes chains of [`Operator::ECONOMIC`]
+//! through [`Operator::apply_economic`].
 //!
 //! Soundness notes justifying each relation live on the variants; they are
 //! load-bearing (an unsound operator turns into false oracle violations).
 
 use std::collections::{HashMap, HashSet};
 
-use ethsim::{Address, CallFrame, EventLog, LogValue, TokenId, Transfer, TxRecord};
+use ethsim::{
+    Address, CallFrame, EventLog, LogValue, TokenId, Transfer, TxId, TxRecord, TxStatus, TxTrace,
+};
 
-use crate::patterns::PatternKind;
+use crate::analytics::net_flows;
+use crate::detector::Analysis;
+use crate::patterns::{PatternKind, PatternMatch};
 
 use super::rng::FuzzRng;
 use super::{FuzzCase, Mutant, SeedCase, TxExpect};
@@ -39,18 +57,22 @@ const NOOP_FRAMES: &[&str] = &["multicallProxy", "delegateHop", "batchRelay"];
 
 /// `ethsim::SpanId` packs a sequence number into 20 bits; mutations that
 /// renumber or append sequence positions must stay under this.
-pub(crate) const MAX_SEQ: u32 = (1 << 20) - 2;
+const MAX_SEQ: u32 = (1 << 20) - 2;
 
-/// Whether an operator's contract preserves or breaks detection.
+/// What an operator's contract says about verdicts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpFamily {
     /// Verdicts must be byte-identical to the seed's.
     Preserving,
     /// The targeted flagged transaction must come out cleared.
     Breaking,
+    /// Profit-exact restructuring with no verdict contract; the evasion
+    /// search measures what flips.
+    Economic,
 }
 
-/// The mutation operators, in campaign round-robin order.
+/// Every mutation operator. [`Operator::METAMORPHIC`] and
+/// [`Operator::ECONOMIC`] list them in the order their search walks them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Operator {
     /// Shuffle whole transactions (with their expectations). Sound because
@@ -80,24 +102,58 @@ pub enum Operator {
     /// flash-loan transaction: identification must now find nothing, so
     /// the pipeline stops and the transaction is cleared.
     StripFlashLoan,
-    /// Split every resell leg of an SBS-only attack into two halves. The
-    /// halves are *adjacent* transfers over one (sender, receiver, token)
-    /// edge, so the split-transfer coalescing pre-pass
+    /// Split every resell leg of an SBS-only attack in two
+    /// ([`split_resell_legs`] with k = 2). The parts are *adjacent*
+    /// transfers over one (sender, receiver, token) edge, so the
+    /// split-transfer coalescing pre-pass
     /// ([`crate::simplify::coalesce_transfers`]) re-fuses them before
     /// tagging and the verdict is unchanged. This operator used to be the
     /// detector's blind spot: without coalescing
     /// ([`crate::config::DetectorConfig::weakened`]) no Table III window
-    /// form can consume the halves together, the resell looks like half
+    /// form can consume the parts together, the resell looks like half
     /// the bought amount — far outside the 0.1% symmetry tolerance — and
-    /// SBS wrongly clears the attack. The `evade` search rediscovers that
-    /// evasion against the weakened config; under the default config this
-    /// is a preserving operator.
+    /// SBS wrongly clears the attack. [`Operator::PartialRepay`] is the
+    /// economic form the evasion search composes.
     SplitRepay,
+    /// Split every resell-phase target-token transfer into K ∈ {2, 3}
+    /// consecutive partial transfers over the same edge
+    /// ([`split_resell_legs`]). Applicable when the target has an SBS
+    /// match (the split pivots on its sell leg). Profit-exact: the parts
+    /// sum to the original amount. Re-fused by the default config's
+    /// coalescing pre-pass; evades the weakened SBS symmetry check.
+    PartialRepay,
+    /// Add a second provider's Table II signature (AAVE: `flashLoan`
+    /// frame + `FlashLoan` log) for half the identified loan, as a
+    /// lender2 → borrower → lender2 round trip appended to the journal
+    /// tail. Round trips back to the sender never merge and same-token
+    /// pairs form no trade, so the application-level stream gains
+    /// nothing. Identification needs *any one* signature, so this can
+    /// never evade — it documents that splitting borrowing across
+    /// providers does not help the attacker. Profit-exact: the loan and
+    /// its repayment cancel.
+    LoanSplit,
+    /// Move every post-repay transfer whose endpoints both lie in the
+    /// attacker cluster (profit-home hops, internal shuffles) into a
+    /// fresh follow-up transaction from the same initiator. Applicable
+    /// when an identified loan has such a tail. The moved transfers are
+    /// intra-cluster (same creation-tree tag), which rule 1 of
+    /// simplification drops anyway, so the target's application-level
+    /// stream is unchanged by construction. Profit-exact: the profile
+    /// sums over the whole case.
+    CrossTxSpread,
+    /// Append a laundering chain — borrower → hop₁ → … → hopₖ → mixer →
+    /// clean — of one equal amount of the cluster's top profit token,
+    /// with the mixer labeled `Tornado.Cash` and hops/clean joining the
+    /// cluster. The equal-amount chain collapses to one one-way app-level
+    /// transfer under rule 3, which no trade window form can consume.
+    /// Profit-exact: the amount leaves via the mixer and returns to the
+    /// (cluster-owned) clean address.
+    MixerHops,
 }
 
 impl Operator {
-    /// All operators, in campaign round-robin order.
-    pub const ALL: [Operator; 7] = [
+    /// The metamorphic operators, in campaign round-robin order.
+    pub const METAMORPHIC: [Operator; 7] = [
         Operator::ReorderTxs,
         Operator::InterleaveBenign,
         Operator::RenameAddresses,
@@ -107,7 +163,16 @@ impl Operator {
         Operator::SplitRepay,
     ];
 
-    /// Stable snake-case name (JSON reports, corpus file names).
+    /// The economic operators, in search order.
+    pub const ECONOMIC: [Operator; 4] = [
+        Operator::PartialRepay,
+        Operator::LoanSplit,
+        Operator::CrossTxSpread,
+        Operator::MixerHops,
+    ];
+
+    /// Stable snake-case name (JSON reports, reproducer labels, corpus
+    /// file names).
     pub fn name(self) -> &'static str {
         match self {
             Operator::ReorderTxs => "reorder_txs",
@@ -117,12 +182,11 @@ impl Operator {
             Operator::WrapNoopFrames => "wrap_noop_frames",
             Operator::StripFlashLoan => "strip_flash_loan",
             Operator::SplitRepay => "split_repay",
+            Operator::PartialRepay => "partial_repay",
+            Operator::LoanSplit => "loan_split",
+            Operator::CrossTxSpread => "cross_tx_spread",
+            Operator::MixerHops => "mixer_hops",
         }
-    }
-
-    /// Parses [`Operator::name`] back (corpus loading).
-    pub fn from_name(name: &str) -> Option<Operator> {
-        Operator::ALL.into_iter().find(|op| op.name() == name)
     }
 
     /// Which contract family the operator belongs to. `SplitRepay` moved
@@ -131,6 +195,10 @@ impl Operator {
     pub fn family(self) -> OpFamily {
         match self {
             Operator::StripFlashLoan => OpFamily::Breaking,
+            Operator::PartialRepay
+            | Operator::LoanSplit
+            | Operator::CrossTxSpread
+            | Operator::MixerHops => OpFamily::Economic,
             _ => OpFamily::Preserving,
         }
     }
@@ -140,9 +208,10 @@ impl Operator {
         self.family() == OpFamily::Preserving
     }
 
-    /// Applies the operator to the seed, returning the mutant plus its
-    /// expectations, or `None` when the operator is not applicable (e.g.
-    /// no SBS-only transaction to split).
+    /// The metamorphic entry point: applies the operator to the seed,
+    /// returning the mutant plus its expectations, or `None` when the
+    /// operator is economic or not applicable (e.g. no SBS-only
+    /// transaction to split).
     pub fn apply(self, seed: &SeedCase, rng: &mut FuzzRng) -> Option<Mutant> {
         let mut case = seed.case.clone();
         let mut expect = seed.expect.clone();
@@ -158,8 +227,40 @@ impl Operator {
             Operator::WrapNoopFrames => wrap_noop(&mut case, rng)?,
             Operator::StripFlashLoan => strip_flash_loan(&mut case, &mut expect, seed, rng)?,
             Operator::SplitRepay => split_repay(&mut case, seed, rng)?,
+            Operator::PartialRepay
+            | Operator::LoanSplit
+            | Operator::CrossTxSpread
+            | Operator::MixerHops => return None,
         }
-        Some(Mutant { operator: self, case, expect })
+        Some(Mutant { chain: vec![self], case, expect })
+    }
+
+    /// The economic entry point: restructures `cand.case.txs[target]`,
+    /// consulting `analysis` (the target's analysis under the detector
+    /// being searched) for loans and matches, and extending `cluster` with
+    /// any attacker-controlled accounts it introduces. The result extends
+    /// `cand`'s chain by this operator and expects each transaction it
+    /// appends to come out cleared. Returns `None` when the operator is
+    /// metamorphic or not applicable; `cluster` changes only on success.
+    pub fn apply_economic(
+        self,
+        cand: &Mutant,
+        target: usize,
+        analysis: &Analysis,
+        cluster: &mut HashSet<Address>,
+        rng: &mut FuzzRng,
+    ) -> Option<Mutant> {
+        let case = match self {
+            Operator::PartialRepay => partial_repay(&cand.case, target, analysis, rng)?,
+            Operator::LoanSplit => loan_split(&cand.case, target, analysis, rng)?,
+            Operator::CrossTxSpread => cross_tx_spread(&cand.case, target, analysis, cluster)?,
+            Operator::MixerHops => mixer_hops(&cand.case, target, cluster, rng)?,
+            _ => return None,
+        };
+        let mut expect = cand.expect.clone();
+        expect.resize(case.txs.len(), TxExpect::flag_only(false));
+        let chain = cand.chain.iter().copied().chain([self]).collect();
+        Some(Mutant { chain, case, expect })
     }
 }
 
@@ -167,6 +268,11 @@ impl std::fmt::Display for Operator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
+}
+
+/// `"op+op+…"` — an operator chain as a stable display string.
+pub fn chain_name(chain: &[Operator]) -> String {
+    chain.iter().map(|op| op.name()).collect::<Vec<_>>().join("+")
 }
 
 // ---------------------------------------------------------------------------
@@ -433,7 +539,7 @@ fn wrap_noop(case: &mut FuzzCase, rng: &mut FuzzRng) -> Option<()> {
 
 /// First free sequence position in a transaction's action stream
 /// (transfers, logs and call frames share one ordering).
-pub(crate) fn next_seq(tx: &TxRecord) -> u32 {
+fn next_seq(tx: &TxRecord) -> u32 {
     let t = tx.trace.transfers.iter().map(|t| t.seq).max().unwrap_or(0);
     let l = tx.trace.logs.iter().map(|l| l.seq).max().unwrap_or(0);
     let f = tx.trace.frames.iter().map(|f| f.seq).max().unwrap_or(0);
@@ -472,11 +578,10 @@ fn strip_flash_loan(
 
 fn split_repay(case: &mut FuzzCase, seed: &SeedCase, rng: &mut FuzzRng) -> Option<()> {
     // Applicable to transactions whose *only* detection evidence is one
-    // SBS match — the historical blind spot. The splits are adjacent
-    // same-edge transfers, so the coalescing pre-pass re-fuses them and
-    // the seed expectations must hold unchanged (preserving contract).
-    // Against `DetectorConfig::weakened` this same mutation clears the
-    // attack; `tests/fuzz_oracle.rs` pins both behaviours.
+    // SBS match — the historical blind spot. The seed expectations must
+    // hold unchanged (preserving contract); against
+    // `DetectorConfig::weakened` this same mutation clears the attack, and
+    // `tests/fuzz_oracle.rs` pins both behaviours.
     let targets: Vec<usize> = seed
         .refs
         .iter()
@@ -488,47 +593,259 @@ fn split_repay(case: &mut FuzzCase, seed: &SeedCase, rng: &mut FuzzRng) -> Optio
         return None;
     }
     let i = *rng.pick(&targets);
-    let m = &seed.refs[i].matches[0];
-    let sell_seq = *m.trade_seqs.last()?;
-    let tx = &mut case.txs[i];
-    if next_seq(tx) * 2 + 1 > MAX_SEQ {
+    split_resell_legs(&mut case.txs[i], &seed.refs[i].matches[0], 2)
+}
+
+/// The leg splitter behind [`Operator::SplitRepay`] and
+/// [`Operator::PartialRepay`]: splits every `sbs.target_token` transfer
+/// from the match's resell trade onward — including pass-through chains,
+/// so no full-amount leg survives for a simplifier without coalescing to
+/// re-merge — into `k` consecutive transfers over the same edge.
+///
+/// Every seq in the transaction (transfers, logs, frames) is multiplied by
+/// `k` to open `k − 1` fresh slots after each leg. The original leg keeps
+/// its seq and the remainder `amount − (k − 1)·⌊amount / k⌋`; the parts
+/// of `⌊amount / k⌋` follow it. Coalescing the split journal
+/// ([`crate::simplify::coalesce_transfers`]) therefore gives back the
+/// original one with every seq multiplied by `k`.
+///
+/// Returns `None`, leaving `tx` untouched, when the match has no trade,
+/// no leg qualifies, a leg carries fewer than `k` units, or the scaled
+/// seqs would overflow the span id's 20 bits.
+pub fn split_resell_legs(tx: &mut TxRecord, sbs: &PatternMatch, k: u32) -> Option<()> {
+    let sell_seq = *sbs.trade_seqs.last()?;
+    if next_seq(tx).checked_mul(k)?.checked_add(k)? > MAX_SEQ {
         return None;
     }
-    // Split every target-token transfer from the resell phase onward —
-    // including the whole pass-through chain, so simplification cannot
-    // re-merge a full-amount leg. Every split leg must carry at least two
-    // units for the halves to be non-empty.
-    let candidates: Vec<usize> = tx
+    let legs: Vec<usize> = tx
         .trace
         .transfers
         .iter()
         .enumerate()
-        .filter(|(_, t)| t.seq >= sell_seq && t.token == m.target_token)
+        .filter(|(_, t)| t.seq >= sell_seq && t.token == sbs.target_token)
         .map(|(j, _)| j)
         .collect();
-    if candidates.is_empty()
-        || candidates.iter().any(|&j| tx.trace.transfers[j].amount < 2)
-    {
+    if legs.is_empty() || legs.iter().any(|&j| tx.trace.transfers[j].amount < k as u128) {
         return None;
     }
     for t in &mut tx.trace.transfers {
-        t.seq *= 2;
+        t.seq *= k;
     }
     for l in &mut tx.trace.logs {
-        l.seq *= 2;
+        l.seq *= k;
     }
     for f in &mut tx.trace.frames {
-        f.seq *= 2;
+        f.seq *= k;
     }
-    // Walk candidates back to front so earlier indices stay valid.
-    for &j in candidates.iter().rev() {
+    // Back to front so earlier leg indices stay valid.
+    for &j in legs.iter().rev() {
         let t = tx.trace.transfers[j].clone();
-        let half = t.amount / 2;
-        tx.trace.transfers[j].amount = half;
-        tx.trace.transfers.insert(
-            j + 1,
-            Transfer { seq: t.seq + 1, amount: t.amount - half, ..t },
-        );
+        let part = t.amount / k as u128;
+        tx.trace.transfers[j].amount = t.amount - part * (k as u128 - 1);
+        for i in 1..k {
+            tx.trace.transfers.insert(
+                j + i as usize,
+                Transfer { seq: t.seq + i, amount: part, ..t.clone() },
+            );
+        }
     }
     Some(())
+}
+
+// ---------------------------------------------------------------------------
+// Economic operators (each clones the case only once its target qualifies)
+// ---------------------------------------------------------------------------
+
+fn partial_repay(
+    case: &FuzzCase,
+    target: usize,
+    analysis: &Analysis,
+    rng: &mut FuzzRng,
+) -> Option<FuzzCase> {
+    // 2- or 3-way split; drawn before the applicability checks so the RNG
+    // stream does not depend on which branch rejects.
+    let k = 2 + rng.below(2) as u32;
+    let sbs = analysis.matches.iter().find(|m| m.kind == PatternKind::Sbs)?;
+    let mut case = case.clone();
+    split_resell_legs(&mut case.txs[target], sbs, k)?;
+    Some(case)
+}
+
+fn loan_split(
+    case: &FuzzCase,
+    target: usize,
+    analysis: &Analysis,
+    rng: &mut FuzzRng,
+) -> Option<FuzzCase> {
+    let salt = rng.next_u64();
+    let loan = analysis
+        .flash_loans
+        .iter()
+        .find(|l| l.token.is_some() && l.amount.is_some())?;
+    let (token, amount) = (loan.token?, loan.amount?);
+    let mut case = case.clone();
+    let tx = &mut case.txs[target];
+    let s0 = next_seq(tx);
+    if s0.checked_add(3)? > MAX_SEQ {
+        return None;
+    }
+    let lender2 = Address::from_seed(&format!("evade:lender2:{salt:016x}"));
+    let split = (amount / 2).max(1);
+    tx.trace.frames.push(CallFrame {
+        seq: s0,
+        depth: 1,
+        caller: loan.borrower,
+        callee: lender2,
+        function: "flashLoan".into(),
+        value: 0,
+    });
+    tx.trace.logs.push(EventLog {
+        seq: s0 + 1,
+        emitter: lender2,
+        name: "FlashLoan".into(),
+        params: vec![
+            ("target".into(), LogValue::Addr(loan.borrower)),
+            ("reserve".into(), LogValue::Token(token)),
+            ("amount".into(), LogValue::Amount(split)),
+        ],
+    });
+    tx.trace.transfers.push(Transfer {
+        seq: s0 + 2,
+        sender: lender2,
+        receiver: loan.borrower,
+        amount: split,
+        token,
+    });
+    tx.trace.transfers.push(Transfer {
+        seq: s0 + 3,
+        sender: loan.borrower,
+        receiver: lender2,
+        amount: split,
+        token,
+    });
+    Some(case)
+}
+
+fn cross_tx_spread(
+    case: &FuzzCase,
+    target: usize,
+    analysis: &Analysis,
+    cluster: &HashSet<Address>,
+) -> Option<FuzzCase> {
+    let lenders: HashSet<Address> = analysis.flash_loans.iter().map(|l| l.lender).collect();
+    if lenders.is_empty() {
+        return None;
+    }
+    let tx0 = &case.txs[target];
+    // Everything after the last lender-touching transfer is the attack's
+    // epilogue (repayment done, profit being moved home).
+    let last_lender_seq = tx0
+        .trace
+        .transfers
+        .iter()
+        .filter(|t| lenders.contains(&t.sender) || lenders.contains(&t.receiver))
+        .map(|t| t.seq)
+        .max()?;
+    let movable: Vec<usize> = tx0
+        .trace
+        .transfers
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| {
+            t.seq > last_lender_seq
+                && cluster.contains(&t.sender)
+                && cluster.contains(&t.receiver)
+        })
+        .map(|(j, _)| j)
+        .collect();
+    if movable.is_empty() {
+        return None;
+    }
+    let mut case = case.clone();
+    let next_id = case.txs.iter().map(|t| t.id.0).max().unwrap_or(0) + 1;
+    let tx = &mut case.txs[target];
+    let mut moved: Vec<Transfer> = Vec::with_capacity(movable.len());
+    for &j in movable.iter().rev() {
+        moved.push(tx.trace.transfers.remove(j));
+    }
+    moved.reverse();
+    for (i, t) in moved.iter_mut().enumerate() {
+        t.seq = i as u32;
+    }
+    let spread = TxRecord {
+        id: TxId(next_id),
+        block: tx.block,
+        timestamp: tx.timestamp + 1,
+        from: tx.from,
+        to: tx.to,
+        function: "evadeSpread".into(),
+        status: TxStatus::Success,
+        trace: TxTrace {
+            transfers: moved,
+            logs: Vec::new(),
+            frames: Vec::new(),
+            created: Vec::new(),
+        },
+    };
+    case.txs.push(spread);
+    Some(case)
+}
+
+fn mixer_hops(
+    case: &FuzzCase,
+    target: usize,
+    cluster: &mut HashSet<Address>,
+    rng: &mut FuzzRng,
+) -> Option<FuzzCase> {
+    // Draws happen up front so the RNG stream is applicability-independent.
+    let hops = 1 + rng.below(3);
+    let salt = rng.next_u64();
+    let mut case = case.clone();
+    let tx = &mut case.txs[target];
+    // Launder part of the top profit token. `net > 1` keeps the laundered
+    // amount ≥ 1 and strictly below the net, so the sign cannot flip even
+    // if a future variant charged a fee.
+    let (token, net) = net_flows(&tx.trace.transfers, cluster)
+        .into_iter()
+        .filter(|(_, v)| *v > 1)
+        .max_by_key(|&(t, v)| (v, t))?;
+    // The laundered amount must stay clear of the 0.1% merge tolerance of
+    // every same-token amount in the journal, so the appended chain can
+    // only merge within itself, never backward into the attack's legs.
+    let amount = [net / 2, net / 3, 2 * net / 5, net / 7 + 1, 3 * net / 4]
+        .into_iter()
+        .map(|v| v.max(1) as u128)
+        .find(|&l| {
+            tx.trace.transfers.iter().filter(|t| t.token == token).all(|t| {
+                let hi = t.amount.max(l) as f64;
+                let lo = t.amount.min(l) as f64;
+                (hi - lo) / hi > 0.002
+            })
+        })?;
+    let s0 = next_seq(tx);
+    if s0.checked_add(hops as u32 + 1)? > MAX_SEQ {
+        return None;
+    }
+    let mixer = Address::from_seed(&format!("evade:mixer:{salt:016x}"));
+    let clean = Address::from_seed(&format!("evade:clean:{salt:016x}"));
+    let mut prev = tx.to;
+    let mut seq = s0;
+    for i in 0..hops {
+        let hop = Address::from_seed(&format!("evade:hop{i}:{salt:016x}"));
+        tx.trace.transfers.push(Transfer { seq, sender: prev, receiver: hop, amount, token });
+        cluster.insert(hop);
+        prev = hop;
+        seq += 1;
+    }
+    tx.trace.transfers.push(Transfer { seq, sender: prev, receiver: mixer, amount, token });
+    tx.trace.transfers.push(Transfer {
+        seq: seq + 1,
+        sender: mixer,
+        receiver: clean,
+        amount,
+        token,
+    });
+    cluster.insert(clean);
+    case.labels.set(mixer, "Tornado.Cash");
+    Some(case)
 }

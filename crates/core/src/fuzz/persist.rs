@@ -28,8 +28,9 @@ const VERSION: u64 = 1;
 /// history, its expectations, and enough metadata to explain the find.
 #[derive(Clone, Debug)]
 pub struct Reproducer {
-    /// Name of the operator that produced the mutant (`"seed"` when the
-    /// unmutated seed itself failed the oracle pre-pass).
+    /// How the mutant was made ([`Mutant::label`]): `"seed"` when the
+    /// unmutated seed itself failed the oracle pre-pass, an operator name,
+    /// or `"evade:<chain>"`.
     pub operator: String,
     /// Campaign seed the mutant was derived from.
     pub seed: u64,
@@ -46,7 +47,7 @@ impl Reproducer {
     /// Wraps a mutant with campaign metadata.
     pub fn new(mutant: &Mutant, seed: u64, violation: impl Into<String>) -> Self {
         Reproducer {
-            operator: mutant.operator.name().to_string(),
+            operator: mutant.label(),
             seed,
             violation: violation.into(),
             case: mutant.case.clone(),
@@ -169,11 +170,9 @@ fn push_tx(out: &mut String, tx: &TxRecord) {
 /// Serializes a reproducer as a self-contained JSON document.
 pub fn reproducer_to_json(r: &Reproducer) -> String {
     let mut out = String::with_capacity(4096);
-    let _ = write!(
-        out,
-        "{{\"version\":{VERSION},\"operator\":\"{}\",\"seed\":\"{}\",\"violation\":",
-        r.operator, r.seed
-    );
+    let _ = write!(out, "{{\"version\":{VERSION},\"operator\":");
+    push_string(&mut out, &r.operator);
+    let _ = write!(out, ",\"seed\":\"{}\",\"violation\":", r.seed);
     push_string(&mut out, &r.violation);
     match r.case.weth {
         Some(w) => {
@@ -266,8 +265,11 @@ fn parse_addr(j: &Json) -> Result<Address, JsonError> {
     Ok(Address::from_bytes(bytes))
 }
 
-fn parse_u64(j: &Json, what: &str) -> Result<u64, JsonError> {
-    j.as_u64().ok_or_else(|| JsonError::semantic(format!("{what} must be a u64")))
+/// An unsigned integer field that must fit `T` (a wider value is an
+/// error, never a silent truncation).
+fn parse_int<T: TryFrom<u64>>(j: &Json, what: &str) -> Result<T, JsonError> {
+    let n = j.as_u64().ok_or_else(|| JsonError::semantic(format!("{what} must be a u64")))?;
+    T::try_from(n).map_err(|_| JsonError::semantic(format!("{what} {n} is out of range")))
 }
 
 fn parse_amount(j: &Json, what: &str) -> Result<u128, JsonError> {
@@ -276,10 +278,7 @@ fn parse_amount(j: &Json, what: &str) -> Result<u128, JsonError> {
 }
 
 fn parse_token(j: &Json) -> Result<TokenId, JsonError> {
-    let idx = parse_u64(j, "token")?;
-    Ok(TokenId::from_index(
-        u32::try_from(idx).map_err(|_| JsonError::semantic("token index overflows u32"))?,
-    ))
+    Ok(TokenId::from_index(parse_int(j, "token")?))
 }
 
 fn parse_kind(s: &str) -> Result<PatternKind, JsonError> {
@@ -309,18 +308,18 @@ fn parse_log_value(j: &Json) -> Result<LogValue, JsonError> {
 fn parse_tx(j: &Json) -> Result<TxRecord, JsonError> {
     let status = {
         let s = want(j, "status")?;
-        if want(s, "ok")?.as_bool() == Some(true) {
-            TxStatus::Success
-        } else {
-            TxStatus::Reverted(
+        match want(s, "ok")?.as_bool() {
+            Some(true) => TxStatus::Success,
+            Some(false) => TxStatus::Reverted(
                 s.get("reason").and_then(Json::as_str).unwrap_or("").to_string(),
-            )
+            ),
+            None => return Err(JsonError::semantic("status `ok` must be a bool")),
         }
     };
     let mut transfers = Vec::new();
     for t in want(j, "transfers")?.as_arr().ok_or_else(|| JsonError::semantic("transfers"))? {
         transfers.push(Transfer {
-            seq: parse_u64(want(t, "seq")?, "seq")? as u32,
+            seq: parse_int(want(t, "seq")?, "seq")?,
             sender: parse_addr(want(t, "sender")?)?,
             receiver: parse_addr(want(t, "receiver")?)?,
             amount: parse_amount(want(t, "amount")?, "amount")?,
@@ -339,7 +338,7 @@ fn parse_tx(j: &Json) -> Result<TxRecord, JsonError> {
             params.push((key.to_string(), parse_log_value(&pair[1])?));
         }
         logs.push(EventLog {
-            seq: parse_u64(want(l, "seq")?, "seq")? as u32,
+            seq: parse_int(want(l, "seq")?, "seq")?,
             emitter: parse_addr(want(l, "emitter")?)?,
             name: want(l, "name")?.as_str().ok_or_else(|| JsonError::semantic("log name"))?.to_string(),
             params,
@@ -348,8 +347,8 @@ fn parse_tx(j: &Json) -> Result<TxRecord, JsonError> {
     let mut frames = Vec::new();
     for f in want(j, "frames")?.as_arr().ok_or_else(|| JsonError::semantic("frames"))? {
         frames.push(CallFrame {
-            seq: parse_u64(want(f, "seq")?, "seq")? as u32,
-            depth: parse_u64(want(f, "depth")?, "depth")? as u16,
+            seq: parse_int(want(f, "seq")?, "seq")?,
+            depth: parse_int(want(f, "depth")?, "depth")?,
             caller: parse_addr(want(f, "caller")?)?,
             callee: parse_addr(want(f, "callee")?)?,
             function: want(f, "function")?
@@ -364,9 +363,9 @@ fn parse_tx(j: &Json) -> Result<TxRecord, JsonError> {
         created.push(parse_addr(c)?);
     }
     Ok(TxRecord {
-        id: TxId(parse_u64(want(j, "id")?, "id")?),
-        block: parse_u64(want(j, "block")?, "block")?,
-        timestamp: parse_u64(want(j, "timestamp")?, "timestamp")?,
+        id: TxId(parse_int(want(j, "id")?, "id")?),
+        block: parse_int(want(j, "block")?, "block")?,
+        timestamp: parse_int(want(j, "timestamp")?, "timestamp")?,
         from: parse_addr(want(j, "from")?)?,
         to: parse_addr(want(j, "to")?)?,
         function: want(j, "function")?
@@ -381,7 +380,7 @@ fn parse_tx(j: &Json) -> Result<TxRecord, JsonError> {
 /// Parses a reproducer document written by [`reproducer_to_json`].
 pub fn reproducer_from_json(input: &str) -> Result<Reproducer, JsonError> {
     let doc = json::parse(input)?;
-    let version = parse_u64(want(&doc, "version")?, "version")?;
+    let version: u64 = parse_int(want(&doc, "version")?, "version")?;
     if version != VERSION {
         return Err(JsonError::semantic(format!("unsupported reproducer version {version}")));
     }
@@ -417,7 +416,7 @@ pub fn reproducer_from_json(input: &str) -> Result<Reproducer, JsonError> {
         creations.push(CreationRecord {
             creator: parse_addr(want(c, "creator")?)?,
             created: parse_addr(want(c, "created")?)?,
-            block: parse_u64(want(c, "block")?, "block")?,
+            block: parse_int(want(c, "block")?, "block")?,
         });
     }
     let mut txs = Vec::new();
@@ -456,4 +455,79 @@ pub fn reproducer_from_json(input: &str) -> Result<Reproducer, JsonError> {
         return Err(JsonError::semantic("expect/txs length mismatch"));
     }
     Ok(Reproducer { operator, seed, violation, case: FuzzCase { txs, labels, creations, weth }, expect })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn one_tx_reproducer(operator: &str) -> Reproducer {
+        let (a, b) = (Address::from_u64(1), Address::from_u64(2));
+        let tx = TxRecord {
+            id: TxId(1),
+            block: 1,
+            timestamp: 1,
+            from: a,
+            to: b,
+            function: "attack".into(),
+            status: TxStatus::Success,
+            trace: TxTrace {
+                transfers: vec![Transfer {
+                    seq: 3,
+                    sender: a,
+                    receiver: b,
+                    amount: 5,
+                    token: TokenId::from_index(1),
+                }],
+                logs: Vec::new(),
+                frames: vec![CallFrame {
+                    seq: 4,
+                    depth: 1,
+                    caller: a,
+                    callee: b,
+                    function: "swap".into(),
+                    value: 0,
+                }],
+                created: Vec::new(),
+            },
+        };
+        Reproducer {
+            operator: operator.into(),
+            seed: 7,
+            violation: String::new(),
+            case: FuzzCase {
+                txs: vec![tx],
+                labels: Labels::new(),
+                creations: Vec::new(),
+                weth: None,
+            },
+            expect: vec![TxExpect::flag_only(false)],
+        }
+    }
+
+    #[test]
+    fn out_of_range_and_malformed_fields_are_rejected() {
+        let json = reproducer_to_json(&one_tx_reproducer("scale_amounts"));
+        assert!(reproducer_from_json(&json).is_ok());
+        for (field, bad) in [
+            ("\"seq\":3,", "\"seq\":4294967296,"),
+            ("\"seq\":4,", "\"seq\":4294967296,"),
+            ("\"depth\":1,", "\"depth\":65536,"),
+            ("\"token\":1}", "\"token\":4294967296}"),
+            ("\"ok\":true", "\"ok\":1"),
+        ] {
+            assert!(json.contains(field), "{field} missing from {json}");
+            let broken = json.replacen(field, bad, 1);
+            assert!(reproducer_from_json(&broken).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn quoted_operator_round_trips_byte_stably() {
+        let label = "evade:\"quoted\"\\op";
+        let json = reproducer_to_json(&one_tx_reproducer(label));
+        let parsed = reproducer_from_json(&json).expect("an escaped operator parses");
+        assert_eq!(parsed.operator, label);
+        assert_eq!(reproducer_to_json(&parsed), json);
+    }
 }

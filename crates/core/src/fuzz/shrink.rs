@@ -7,9 +7,11 @@
 //! expectation failure and the reproducer would stop explaining the
 //! original bug. Two passes run to fixpoint:
 //!
-//! 1. **Transaction removal** — drop whole transactions (with their
-//!    expectations) while the failure persists. Histories of thousands of
-//!    transactions routinely collapse to one.
+//! 1. **Transaction removal** (`shrink_txs`) — drop whole transactions
+//!    (with their expectations) while the failure persists. Histories of
+//!    thousands of transactions routinely collapse to one. The pass takes
+//!    any predicate; the evasion search runs it under its dual-oracle one
+//!    ([`crate::evade::evasion_reproducer`]).
 //! 2. **Trace-item removal** — drop individual transfers, logs and frames
 //!    from the survivors while the failure persists, leaving only the
 //!    actions the violation actually needs.
@@ -35,36 +37,17 @@ pub fn shrink_mutant(mutant: &Mutant, oracle: &DiffOracle) -> (Mutant, usize) {
         Err(v) => v.code(),
     };
     let mut runs = 1usize;
-    let mut best = mutant.clone();
-
-    let still_fails = |m: &Mutant, runs: &mut usize| {
-        *runs += 1;
+    // Once the budget is spent the predicate answers "no" without running
+    // the oracle, so both passes stop shrinking.
+    let mut still_fails = |m: &Mutant| {
+        if runs >= MAX_ORACLE_RUNS {
+            return false;
+        }
+        runs += 1;
         matches!(oracle.check_mutant(m), Err(v) if v.code() == code)
     };
 
-    // Pass 1: whole-transaction removal, to fixpoint.
-    loop {
-        let mut changed = false;
-        let mut i = 0;
-        while i < best.case.txs.len() && runs < MAX_ORACLE_RUNS {
-            if best.case.txs.len() == 1 {
-                break;
-            }
-            let mut candidate = best.clone();
-            candidate.case.txs.remove(i);
-            candidate.expect.remove(i);
-            if still_fails(&candidate, &mut runs) {
-                best = candidate;
-                changed = true;
-                // Same index now holds the next transaction.
-            } else {
-                i += 1;
-            }
-        }
-        if !changed || runs >= MAX_ORACLE_RUNS {
-            break;
-        }
-    }
+    let mut best = shrink_txs(mutant.clone(), &mut still_fails);
 
     // Pass 2: per-item removal inside the surviving transactions.
     loop {
@@ -72,10 +55,10 @@ pub fn shrink_mutant(mutant: &Mutant, oracle: &DiffOracle) -> (Mutant, usize) {
         for tx in 0..best.case.txs.len() {
             for kind in [ItemKind::Transfer, ItemKind::Log, ItemKind::Frame] {
                 let mut i = 0;
-                while i < item_count(&best, tx, kind) && runs < MAX_ORACLE_RUNS {
+                while i < item_count(&best, tx, kind) {
                     let mut candidate = best.clone();
                     remove_item(&mut candidate, tx, kind, i);
-                    if still_fails(&candidate, &mut runs) {
+                    if still_fails(&candidate) {
                         best = candidate;
                         changed = true;
                     } else {
@@ -84,12 +67,37 @@ pub fn shrink_mutant(mutant: &Mutant, oracle: &DiffOracle) -> (Mutant, usize) {
                 }
             }
         }
-        if !changed || runs >= MAX_ORACLE_RUNS {
+        if !changed {
             break;
         }
     }
 
     (best, runs)
+}
+
+/// Pass 1: drops whole transactions (with their expectations), to
+/// fixpoint, while `keeps` holds for the smaller mutant. At least one
+/// transaction always remains.
+pub(crate) fn shrink_txs(mut best: Mutant, mut keeps: impl FnMut(&Mutant) -> bool) -> Mutant {
+    loop {
+        let mut changed = false;
+        let mut i = 0;
+        while i < best.case.txs.len() && best.case.txs.len() > 1 {
+            let mut candidate = best.clone();
+            candidate.case.txs.remove(i);
+            candidate.expect.remove(i);
+            if keeps(&candidate) {
+                best = candidate;
+                changed = true;
+                // Same index now holds the next transaction.
+            } else {
+                i += 1;
+            }
+        }
+        if !changed {
+            return best;
+        }
+    }
 }
 
 #[derive(Clone, Copy)]

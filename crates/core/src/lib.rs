@@ -72,12 +72,14 @@ pub use analytics::{cluster_reports, pair_volatility, profit_of, AttackCluster, 
 pub use config::DetectorConfig;
 pub use detector::{Analysis, AnalysisScratch, ChainView, LeiShen};
 pub use evade::{
-    attacker_cluster, chain_name, evade_search, evasion_reproducer, gain_signs_preserved,
-    profit_profile, EvadeConfig, EvadeOp, EvadeReport, Evasion, ProfitProfile,
+    attacker_cluster, evade_search, evasion_reproducer, gain_signs_preserved, profit_profile,
+    EvadeConfig, EvadeReport, Evasion, ProfitProfile,
 };
 pub use flashloan::{identify_flash_loans, FlashLoanEvent, Provider};
 pub use forensics::{trace_exits, ExitKind, ExitReport};
-pub use fuzz::{CaseVerdict, DiffOracle, FuzzCase, FuzzRng, Mutant, SeedCase, TxExpect};
+pub use fuzz::{
+    chain_name, CaseVerdict, DiffOracle, FuzzCase, FuzzRng, Mutant, SeedCase, TxExpect,
+};
 pub use heuristics::{
     aggregator_heuristic, filter_aggregator_initiated, initiated_by_aggregator, HeuristicOutcome,
 };

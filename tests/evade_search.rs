@@ -19,10 +19,12 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use leishen::evade::{
-    attacker_cluster, chain_name, evade_search, evasion_reproducer, gain_signs_preserved,
-    profit_profile, EvadeConfig, EvadeOp,
+    attacker_cluster, evade_search, evasion_reproducer, gain_signs_preserved, profit_profile,
+    EvadeConfig,
 };
-use leishen::fuzz::{reproducer_from_json, reproducer_to_json, DiffOracle, FuzzRng, SeedCase};
+use leishen::fuzz::{
+    chain_name, reproducer_from_json, reproducer_to_json, DiffOracle, FuzzRng, Operator, SeedCase,
+};
 use leishen::{DetectorConfig, LeiShen};
 use leishen_scenarios::fuzz::seed_case;
 
@@ -48,17 +50,18 @@ fn weakened_detector_loses_at_least_five_distinct_evasions() {
     let mut keys: Vec<(usize, String)> = report
         .evasions
         .iter()
-        .map(|e| (e.target, chain_name(&e.chain)))
+        .map(|e| (e.target, chain_name(&e.mutant.chain)))
         .collect();
     keys.sort();
     keys.dedup();
     assert_eq!(keys.len(), report.evasions.len(), "evasions must be distinct (target, chain) pairs");
 
     for e in &report.evasions {
+        assert_eq!(e.mutant.label(), format!("evade:{}", chain_name(&e.mutant.chain)));
         assert!(
-            e.chain.contains(&EvadeOp::PartialRepay),
+            e.mutant.chain.contains(&Operator::PartialRepay),
             "every evasion must route through the partial-repay blind spot, got {}",
-            chain_name(&e.chain)
+            chain_name(&e.mutant.chain)
         );
         assert!(!e.profile.is_empty(), "an evasion must still show a net position");
         assert!(
@@ -85,7 +88,7 @@ fn default_detector_survives_the_same_search_budget() {
         report
             .evasions
             .iter()
-            .map(|e| (e.target, chain_name(&e.chain)))
+            .map(|e| (e.target, chain_name(&e.mutant.chain)))
             .collect::<Vec<_>>()
     );
     assert!(
@@ -116,7 +119,7 @@ fn promoted_evade_goldens_replay_against_both_detectors() {
             let repro = evasion_reproducer(evasion, &weakened_oracle, &fixed_oracle, 42);
             let name = format!(
                 "evade_{i:02}_{}.json",
-                chain_name(&evasion.chain).replace('+', "__")
+                chain_name(&evasion.mutant.chain).replace('+', "__")
             );
             std::fs::write(dir.join(name), reproducer_to_json(&repro))
                 .expect("write evade golden");
@@ -182,7 +185,7 @@ fn evade_search_is_seed_deterministic() {
         let key = |r: &leishen::EvadeReport| {
             r.evasions
                 .iter()
-                .map(|e| (e.target, chain_name(&e.chain), e.profile.clone()))
+                .map(|e| (e.target, chain_name(&e.mutant.chain), e.profile.clone()))
                 .collect::<Vec<_>>()
         };
         assert_eq!(key(&a), key(&b), "seed {seed}: evasions must replay exactly");
@@ -211,22 +214,21 @@ proptest! {
 
         let mut cluster = attacker_cluster(&seeds.case.txs[target]);
         let base = profit_profile(&seeds.case.txs, &cluster);
-        let mut case = seeds.case.clone();
-        let mut chain: Vec<EvadeOp> = Vec::new();
+        let mut mutant = seeds.as_mutant();
         for _ in 0..3 {
-            let op = *rng.pick(&EvadeOp::ALL);
+            let op = *rng.pick(&Operator::ECONOMIC);
             let analysis = {
-                let view = case.view();
-                weakened.analyze(&case.txs[target], &view)
+                let view = mutant.case.view();
+                weakened.analyze(&mutant.case.txs[target], &view)
             };
-            if let Some(applied) = op.apply(&case, target, &analysis, &mut cluster, &mut rng) {
-                case = applied.case;
-                chain.push(op);
-                let after = profit_profile(&case.txs, &cluster);
+            let next = op.apply_economic(&mutant, target, &analysis, &mut cluster, &mut rng);
+            if let Some(next) = next {
+                mutant = next;
+                let after = profit_profile(&mutant.case.txs, &cluster);
                 prop_assert!(
                     gain_signs_preserved(&base, &after),
                     "chain {} on target {} flipped a gain sign: {:?} -> {:?}",
-                    chain_name(&chain),
+                    chain_name(&mutant.chain),
                     target,
                     base,
                     after

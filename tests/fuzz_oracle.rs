@@ -9,12 +9,16 @@
 //!   shrunk to a ≤ 10-transaction reproducer.
 //! * Every committed `tests/corpus/*.json` document parses and replays
 //!   cleanly, and the persistence layer round-trips byte-for-byte.
+//! * The leg splitter behind the repay-splitting operators is undone
+//!   exactly by the coalescing pre-pass.
 
+use ethsim::Transfer;
 use leishen::fuzz::{
-    reproducer_from_json, reproducer_to_json, run_campaign, CampaignConfig, DiffOracle, FuzzCase,
-    FuzzRng, Operator, Reproducer, TxExpect,
+    reproducer_from_json, reproducer_to_json, run_campaign, split_resell_legs, CampaignConfig,
+    DiffOracle, FuzzCase, FuzzRng, Operator, Reproducer, TxExpect,
 };
-use leishen::DetectorConfig;
+use leishen::simplify::coalesce_transfers;
+use leishen::{DetectorConfig, PatternKind};
 use leishen_scenarios::fuzz::seed_case;
 
 mod common;
@@ -146,6 +150,47 @@ fn split_repay_is_preserved_by_default_but_evades_the_weakened_detector() {
 }
 
 #[test]
+fn split_legs_coalesce_back_to_the_original_journal() {
+    // Why SplitRepay preserves verdicts and why the default config re-fuses
+    // PartialRepay: coalescing a split journal gives back the original
+    // one — same edges, tokens and amounts — with every seq times k.
+    let seeds = seed_case(DetectorConfig::paper());
+    let mut split = 0usize;
+    for (tx, analysis) in seeds.case.txs.iter().zip(&seeds.refs) {
+        let Some(sbs) = analysis.matches.iter().find(|m| m.kind == PatternKind::Sbs) else {
+            continue;
+        };
+        for k in [2u32, 3] {
+            let mut mutated = tx.clone();
+            split_resell_legs(&mut mutated, sbs, k)
+                .unwrap_or_else(|| panic!("tx {} does not split {k} ways", tx.id.0));
+            assert!(mutated.trace.transfers.len() > tx.trace.transfers.len());
+            let mut fused = Vec::new();
+            coalesce_transfers(&mutated.trace.transfers, &mut fused);
+            let scaled: Vec<Transfer> = tx
+                .trace
+                .transfers
+                .iter()
+                .map(|t| Transfer { seq: t.seq * k, ..t.clone() })
+                .collect();
+            assert_eq!(fused, scaled, "tx {} split {k} ways", tx.id.0);
+            let seqs = |t: &ethsim::TxRecord| -> Vec<u32> {
+                let logs = t.trace.logs.iter().map(|l| l.seq);
+                logs.chain(t.trace.frames.iter().map(|f| f.seq)).collect()
+            };
+            assert_eq!(
+                seqs(&mutated),
+                seqs(tx).iter().map(|s| s * k).collect::<Vec<_>>(),
+                "tx {} split {k} ways: log and frame seqs",
+                tx.id.0
+            );
+            split += 1;
+        }
+    }
+    assert!(split > 0, "the seed has SBS matches to split");
+}
+
+#[test]
 fn crippled_detector_is_caught_and_shrinks_small() {
     // Ground truth comes from the healthy paper configuration; the oracle
     // runs a detector whose KRP matcher can never fire. The seed pre-pass
@@ -162,6 +207,7 @@ fn crippled_detector_is_caught_and_shrinks_small() {
         .as_ref()
         .expect("crippled detector must fail the seed pre-pass");
     assert_eq!(violation.code, "wrong_flag");
+    assert_eq!(violation.shrunk.label(), "seed", "the pre-pass mutant has an empty chain");
     assert!(
         violation.shrunk.case.txs.len() <= 10,
         "reproducer must shrink to ≤ 10 transactions, got {}",
@@ -198,7 +244,7 @@ fn committed_corpus_documents_replay_cleanly() {
         replayed += 1;
     }
     assert!(
-        replayed >= Operator::ALL.len(),
+        replayed >= Operator::METAMORPHIC.len(),
         "expected at least one committed sample per operator, found {replayed}"
     );
 }
@@ -207,11 +253,12 @@ fn committed_corpus_documents_replay_cleanly() {
 fn reproducer_persistence_round_trips() {
     let seeds = seed_case(DetectorConfig::paper());
     let mut rng = FuzzRng::new(11);
-    for op in Operator::ALL {
+    for op in Operator::METAMORPHIC {
         let Some(mutant) = (0..32).find_map(|_| op.apply(&seeds, &mut rng)) else {
             panic!("{} has applicable targets in the seed", op.name());
         };
         let repro = Reproducer::new(&mutant, 11, "round-trip");
+        assert_eq!(repro.operator, op.name(), "a metamorphic mutant is labeled by its operator");
         let json = reproducer_to_json(&repro);
         let parsed = reproducer_from_json(&json)
             .unwrap_or_else(|e| panic!("{} reproducer does not re-parse: {e}", op.name()));

@@ -31,8 +31,8 @@ use std::time::Duration;
 use ethsim::{
     Address, CreationRecord, TokenId, Transfer, TxId, TxRecord, TxStatus, TxTrace,
 };
-use leishen::evade::{chain_name, evade_search, EvadeConfig};
-use leishen::fuzz::Operator;
+use leishen::evade::{evade_search, EvadeConfig};
+use leishen::fuzz::{chain_name, Operator};
 use leishen::resilience::{Fault, Verdict};
 use leishen::stream::{Block, StreamConfig, StreamService};
 use leishen::trace::FlightRecorder;
@@ -315,7 +315,7 @@ fn every_fuzz_mutant_streams_equivalently() {
         check_roundtrip("seed-case bursty(42)", &records, &view, &curve);
     }
     // Then one mutant per operator.
-    for op in Operator::ALL {
+    for op in Operator::METAMORPHIC {
         let Some(mutant) = op.apply(&seeds, &mut rng) else {
             continue;
         };
@@ -347,8 +347,8 @@ fn every_evade_mutant_streams_equivalently() {
         report.evasions.len()
     );
     for (i, evasion) in report.evasions.iter().enumerate() {
-        let records: Vec<&TxRecord> = evasion.case.txs.iter().collect();
-        let view = evasion.case.view();
+        let records: Vec<&TxRecord> = evasion.mutant.case.txs.iter().collect();
+        let view = evasion.mutant.case.view();
         let curve = if i % 2 == 0 {
             ArrivalCurve::steady(2 + i % 5)
         } else {
@@ -357,7 +357,7 @@ fn every_evade_mutant_streams_equivalently() {
         let label = format!(
             "evasion target={} chain={} curve={}",
             evasion.target,
-            chain_name(&evasion.chain),
+            chain_name(&evasion.mutant.chain),
             curve.name()
         );
         check_roundtrip(&label, &records, &view, &curve);
