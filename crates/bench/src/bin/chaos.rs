@@ -16,8 +16,9 @@
 //!    and no clean benign transaction is flagged.
 //!
 //! Results land in `BENCH_chaos.json`; violations additionally write a
-//! quarantine report per failing campaign to `--report-dir` and turn the
-//! exit status non-zero.
+//! quarantine report per failing campaign to `--report-dir`. The bin then
+//! names each failed check (these three, plus quarantining exactly when
+//! faulted and a `quarantine_by_fault` that sums up) and exits 1.
 //!
 //! ```text
 //! cargo run --release -p leishen-bench --bin chaos -- [--seed 42]
@@ -37,7 +38,7 @@ use leishen::trace::{FlightRecorder, Reason};
 use leishen::{
     install_quiet_hook, ChainView, DetectorConfig, LeiShen, ResilienceConfig, ScanEngine, TagCache,
 };
-use leishen_bench::{cli_flag, cli_str, cli_u64, print_table};
+use leishen_bench::{cli_flag, cli_str, cli_u64, print_table, Checks};
 use leishen_scenarios::chaos::apply_input_faults;
 use leishen_scenarios::fuzz::seed_case;
 
@@ -151,12 +152,30 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_chaos.json");
     println!("wrote {out_path}");
 
-    if total_violations > 0 {
-        eprintln!(
-            "CHAOS FAILED: {total_violations} violation(s); quarantine reports in {report_dir}/"
+    let mut checks = Checks::default();
+    for c in &campaigns {
+        let name = format!("{} at {}\u{2030}", c.config, c.rate_permille);
+        checks.check(
+            c.violations.is_empty(),
+            format!(
+                "{name}: {} violation(s); quarantine reports in {report_dir}/",
+                c.violations.len()
+            ),
         );
-        std::process::exit(1);
+        checks.check(
+            c.quarantined == c.corrupted,
+            format!("{name}: quarantined {} of {} corrupted records", c.quarantined, c.corrupted),
+        );
+        checks.check(
+            (c.rate_permille > 0) == (c.quarantined > 0),
+            format!("{name}: quarantined {}; only a faulted campaign may, and must", c.quarantined),
+        );
+        checks.check(
+            c.by_fault.values().sum::<usize>() == c.quarantined,
+            format!("{name}: quarantine_by_fault does not sum to quarantined"),
+        );
     }
+    checks.finish("chaos");
     println!(
         "all campaigns clean: {} configurations x {} rates, zero violations",
         CONFIGS.len(),

@@ -5,39 +5,44 @@
 //!
 //! 1. against the **weakened** detector (split-transfer coalescing off —
 //!    the pre-fix matcher), where the search must find at least
-//!    `--min-weakened` still-profitable verdict-flipping variants; each
-//!    one is shrunk and persisted to `--reproducers-dir`;
+//!    [`MIN_WEAKENED`] still-profitable verdict-flipping variants, every
+//!    one routed through `partial_repay`, with no invariant rejection;
+//!    each one is shrunk and persisted to `--reproducers-dir`;
 //! 2. against the **default** detector, where the identical budget must
 //!    find **zero** survivors — any survivor is a live blind spot, is
 //!    persisted the same way, and turns the exit status non-zero.
 //!
 //! A third pass runs the default detector over the mixed attack + MEV
 //! corpus and reports the confusion matrix (ground-truth flags from
-//! scenario construction). `BENCH_evade.json` carries all three, and
-//! `bench_diff --baseline-evade` gates precision/recall regressions.
+//! scenario construction), whose precision and recall must both be 1.0.
+//! `BENCH_evade.json` carries all three; the bin then names every failed
+//! check and exits 1.
 //!
 //! ```text
 //! cargo run --release -p leishen-bench --bin evade -- [--seed 42]
 //!     [--smoke] [--out BENCH_evade.json]
-//!     [--reproducers-dir evade_reproducers] [--min-weakened 5]
+//!     [--reproducers-dir evade_reproducers]
 //! ```
 
 use std::path::Path;
 use std::time::Instant;
 
 use leishen::evade::{evade_search, evasion_reproducer, EvadeConfig, EvadeReport};
-use leishen::fuzz::{chain_name, reproducer_to_json, Confusion, DiffOracle, SeedCase};
+use leishen::fuzz::{chain_name, reproducer_to_json, Confusion, DiffOracle, Operator, SeedCase};
 use leishen::trace::json::fmt_f64;
 use leishen::{DetectorConfig, LeiShen};
-use leishen_bench::{cli_flag, cli_str, cli_u64, print_table};
+use leishen_bench::{cli_flag, cli_str, cli_u64, print_table, Checks};
 use leishen_scenarios::fuzz::seed_case;
+
+/// Evasions the search must find against the weakened detector, so that
+/// its zero against the default detector is a result, not a no-op.
+const MIN_WEAKENED: usize = 5;
 
 fn main() {
     let seed = cli_u64("--seed", 42);
     let smoke = cli_flag("--smoke");
     let out_path = cli_str("--out", "BENCH_evade.json");
     let repro_dir = cli_str("--reproducers-dir", "evade_reproducers");
-    let min_weakened = cli_u64("--min-weakened", 5) as usize;
 
     let config = if smoke { EvadeConfig::smoke(seed) } else { EvadeConfig::new(seed) };
 
@@ -54,7 +59,6 @@ fn main() {
 
     let weakened_oracle = DiffOracle::new(DetectorConfig::weakened());
     let fixed_oracle = DiffOracle::new(DetectorConfig::paper());
-    let mut failures: Vec<String> = Vec::new();
 
     // Pass 1: the weakened detector must be evadable — this proves the
     // search engine has teeth, so pass 2's zero is a result, not a no-op.
@@ -63,12 +67,6 @@ fn main() {
         evade_search(&seeds, &LeiShen::new(DetectorConfig::weakened()), &config);
     let weakened_secs = start.elapsed().as_secs_f64();
     print_report("weakened", &weakened_report, weakened_secs);
-    if weakened_report.evasions.len() < min_weakened {
-        failures.push(format!(
-            "weakened search found {} evasion(s), expected >= {min_weakened}",
-            weakened_report.evasions.len()
-        ));
-    }
     persist_reproducers(
         "weakened",
         &weakened_report,
@@ -84,10 +82,6 @@ fn main() {
     let default_secs = start.elapsed().as_secs_f64();
     print_report("default", &default_report, default_secs);
     if !default_report.evasions.is_empty() {
-        failures.push(format!(
-            "default detector lost {} evasion(s) within the search budget",
-            default_report.evasions.len()
-        ));
         persist_reproducers(
             "default",
             &default_report,
@@ -125,12 +119,53 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_evade.json");
     println!("wrote {out_path}");
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("EVADE FAILED: {f}");
-        }
-        std::process::exit(1);
+    let mut checks = Checks::default();
+    let (weakened, default) = (&weakened_report, &default_report);
+    checks.check(
+        weakened.evasions.len() >= MIN_WEAKENED,
+        format!(
+            "weakened search found {} evasion(s), expected >= {MIN_WEAKENED}",
+            weakened.evasions.len()
+        ),
+    );
+    checks.check(
+        weakened.evasions.iter().all(|e| e.mutant.chain.contains(&Operator::PartialRepay)),
+        "a weakened evasion does not route through partial_repay",
+    );
+    checks.check(
+        weakened.invariant_rejections == 0,
+        format!(
+            "weakened search rejected {} mutant(s) on invariants",
+            weakened.invariant_rejections
+        ),
+    );
+    checks.check(
+        default.evasions.is_empty(),
+        format!(
+            "default detector lost {} evasion(s) within the search budget",
+            default.evasions.len()
+        ),
+    );
+    for (label, report) in [("weakened", weakened), ("default", default)] {
+        checks.check(
+            report.targets_probed > 0 && report.attempts > 0,
+            format!("{label} search probed no target"),
+        );
     }
+    let c = &confusion;
+    checks.check(
+        c.tp + c.fp + c.tn + c.fn_ == seed_txs,
+        format!("mixed corpus tallied {} of {seed_txs} txs", c.tp + c.fp + c.tn + c.fn_),
+    );
+    checks.check(
+        c.precision() == 1.0 && c.recall() == 1.0,
+        format!(
+            "mixed-corpus precision {:.4}, recall {:.4}; both must be 1.0",
+            c.precision(),
+            c.recall()
+        ),
+    );
+    checks.finish("evade");
     println!(
         "evade clean: weakened loses {} variant(s), default survives the same budget",
         weakened_report.evasions.len()

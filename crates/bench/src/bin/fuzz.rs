@@ -4,9 +4,9 @@
 //! workloads), runs `--mutants` metamorphic mutants through the
 //! four-configuration differential oracle, diffs the `baselines` crate
 //! against a sample of the surviving mutants, and writes `BENCH_fuzz.json`.
-//! Any oracle violation is shrunk to a minimal history, persisted to
-//! `--violations-dir`, and turns the exit status non-zero, so CI fails
-//! loudly with a replayable artifact.
+//! Any oracle violation is shrunk to a minimal history and persisted to
+//! `--violations-dir`, so CI fails loudly with a replayable artifact; the
+//! bin then names each failed check and exits 1.
 //!
 //! ```text
 //! cargo run --release -p leishen-bench --bin fuzz -- [--seed 42]
@@ -28,7 +28,7 @@ use leishen::fuzz::{
 use leishen::trace::json::fmt_f64;
 use leishen::DetectorConfig;
 use leishen_baselines::{DefiRanger, ExplorerLeiShen, VolatilityMonitor};
-use leishen_bench::{cli_flag, cli_str, cli_u64, print_table};
+use leishen_bench::{cli_flag, cli_str, cli_u64, print_table, Checks};
 use leishen_scenarios::fuzz::seed_case;
 
 /// Per-baseline agreement counters over sampled preserving mutants,
@@ -120,13 +120,33 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_fuzz.json");
     println!("wrote {out_path}");
 
-    if report.total_violations() > 0 {
-        eprintln!(
-            "FUZZ FAILED: {} oracle violation(s); shrunk reproducers in {violations_dir}/",
+    let mut checks = Checks::default();
+    checks.check(
+        report.total_violations() == 0,
+        format!(
+            "{} oracle violation(s); shrunk reproducers in {violations_dir}/",
             report.total_violations()
-        );
-        std::process::exit(1);
+        ),
+    );
+    // Skipped draws may eat at most a sixth of the budget (500 of 600).
+    checks.check(
+        report.generated * 6 >= report.requested * 5,
+        format!("generated {} of {} requested mutants", report.generated, report.requested),
+    );
+    for s in &report.per_operator {
+        let name = s.operator.name();
+        checks.check(s.generated > 0, format!("operator {name} generated no mutant"));
     }
+    let c = &report.confusion;
+    checks.check(
+        c.fp == 0 && c.fn_ == 0,
+        format!("detector misjudged preserving mutants: fp={} fn={}", c.fp, c.fn_),
+    );
+    checks.check(
+        c.tp > 0 && c.tn > 0,
+        format!("preserving mutants lack a verdict class: tp={} tn={}", c.tp, c.tn),
+    );
+    checks.finish("fuzz");
     println!("campaign clean: {} mutants, zero oracle violations", report.generated);
 }
 

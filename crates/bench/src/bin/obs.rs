@@ -21,14 +21,20 @@
 //!    count (1/2/4/8), each with its own fresh [`leishen::TagCache`], so
 //!    the hit rates are comparable across configurations.
 //! 3. **Sink overhead** — best-of-`reps` batch scans through the
-//!    unobserved `()` path vs the `RecordingSink` path; the recording
-//!    sink is expected to stay within a few percent.
+//!    unobserved `()` path vs the `RecordingSink` path; the sampled
+//!    recording sink must stay within [`MAX_SINK_OVERHEAD_PCT`].
+//!
+//! Once the JSON is written, the bin names each failed check and exits 1.
 
 use leishen::{DetectorConfig, FlightRecorder, LeiShen, RecordingSink, ScanEngine, TagCache, STAGES};
 use leishen_bench::{
-    cli_flag, cli_f64, cli_u64, corpus_records, print_table, wild_world,
+    cli_flag, cli_f64, cli_u64, corpus_records, print_table, wild_world, Checks,
 };
 use std::time::Instant;
+
+/// How much slower than the unobserved path the 1-in-8 sampled recording
+/// sink may scan, in percent.
+const MAX_SINK_OVERHEAD_PCT: f64 = 5.0;
 
 fn main() {
     let smoke = cli_flag("--smoke");
@@ -97,6 +103,7 @@ fn main() {
     let worker_counts = [1usize, 2, 4, 8];
     let mut cache_rows = Vec::new();
     let mut cache_json = Vec::new();
+    let mut checks = Checks::default();
     for &w in &worker_counts {
         let cache = TagCache::new();
         let engine = ScanEngine::new(w).allow_oversubscription();
@@ -120,9 +127,9 @@ fn main() {
             cache.misses(),
             cache.len(),
         ));
-        assert!(
+        checks.check(
             warm_rate > 0.0,
-            "tag cache hit rate must be positive after a warm pass at {w} workers"
+            format!("tag cache hit rate is zero after a warm pass at {w} workers"),
         );
     }
     print_table(
@@ -194,7 +201,10 @@ fn main() {
     println!(
         "tracer overhead (best of {reps}): untraced {untraced_tps:.0} tx/s, flight recorder {traced_tps:.0} tx/s ({tracer_pct:+.1}%, {traced_recorded} traces/pass)"
     );
-    assert_eq!(traced_recorded, n as u64, "recorder must capture every tx");
+    checks.check(
+        traced_recorded == n as u64,
+        format!("flight recorder captured {traced_recorded} of {n} txs"),
+    );
 
     // ----- persist ----------------------------------------------------------
     let stage_json = summaries
@@ -237,10 +247,18 @@ fn main() {
     std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
     println!("wrote BENCH_obs.json");
 
-    // Sanity: every pipeline stage produced at least one sample, and the
-    // flash-loan stage saw every transaction.
-    assert_eq!(summaries.len(), STAGES.len());
-    let fl = &summaries[0];
-    assert_eq!(fl.count as usize, n, "flash-loan stage must time every tx");
-    assert!(totals.tags_resolved > 0, "recorded counters must be non-zero");
+    checks.check(
+        summaries.len() == STAGES.len() && summaries.iter().all(|s| s.count > 0),
+        "a pipeline stage has no samples",
+    );
+    checks.check(
+        summaries.first().is_some_and(|fl| fl.count as usize == n),
+        "the flash-loan stage did not time every tx",
+    );
+    checks.check(totals.tags_resolved > 0, "recorded counters resolved no tag");
+    checks.check(
+        overhead_pct <= MAX_SINK_OVERHEAD_PCT,
+        format!("sampled sink overhead {overhead_pct:+.2}% (limit {MAX_SINK_OVERHEAD_PCT}%)"),
+    );
+    checks.finish("obs");
 }

@@ -25,10 +25,12 @@
 //! * the durable quarantine reports equal the ground truth's — each
 //!   reported exactly once after restart.
 //!
-//! Results land in `BENCH_recover.json` (schema in `EXPERIMENTS.md`);
-//! `bench_diff --baseline-recover` gates on a 1.0 recovery success
-//! rate, zero duplicated and zero lost verdicts, and a ≥200-case
-//! matrix for full (non-smoke) runs.
+//! Results land in `BENCH_recover.json` (schema in `EXPERIMENTS.md`).
+//! The bin then exits 1, naming each failed check, unless every case
+//! recovered with zero duplicated and zero lost verdicts, the matrix
+//! recovered at least one torn tail, every fault has cases, only bit
+//! flips re-emitted, and both corpora journaled something. `bench_diff
+//! recover` holds full (non-smoke) runs to a ≥200-case matrix.
 //!
 //! ```text
 //! cargo run --release -p leishen-bench --bin recover -- [--seed 42]
@@ -51,7 +53,7 @@ use leishen::trace::json::fmt_f64;
 use leishen::{ChainView, DetectorConfig, LeiShen, TagCache};
 use leishen_bench::{
     cli_f64, cli_flag, cli_str, cli_u64, corpus_records, known_attack_world, percentile,
-    print_table, sort_samples, wild_world,
+    print_table, sort_samples, wild_world, Checks,
 };
 use leishen_scenarios::{crash_matrix, CrashCase};
 
@@ -561,7 +563,29 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_recover.json");
     println!("wrote {out_path}");
 
-    if !failures.is_empty() {
-        std::process::exit(1);
+    let mut checks = Checks::default();
+    checks.check(
+        failures.is_empty(),
+        format!("{} of {cases} case(s) violated exactly-once recovery", failures.len()),
+    );
+    checks.check(cases > 0, "the crash matrix is empty");
+    checks.check(duplicate_verdicts == 0, format!("{duplicate_verdicts} duplicated verdict(s)"));
+    checks.check(lost_verdicts == 0, format!("{lost_verdicts} lost verdict(s)"));
+    checks.check(torn > 0, "the matrix recovered no torn tail");
+    for fault in IoFault::ALL {
+        let of_fault: Vec<&CaseResult> = results.iter().filter(|r| r.fault == fault).collect();
+        let reemitted: u64 = of_fault.iter().map(|r| r.reemitted_after_corruption).sum();
+        checks.check(!of_fault.is_empty(), format!("fault {} has no cases", fault.name()));
+        checks.check(
+            fault == IoFault::BitFlip || reemitted == 0,
+            format!("fault {} re-emitted verdicts; only bit flips may", fault.name()),
+        );
     }
+    for c in &corpora {
+        checks.check(
+            c.transactions > 0 && c.blocks > 0 && c.journal_bytes > 0,
+            format!("corpus {} journaled nothing", c.name),
+        );
+    }
+    checks.finish("recover");
 }

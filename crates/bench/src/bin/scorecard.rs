@@ -5,14 +5,12 @@
 //! cargo run -p leishen-bench --release --bin scorecard
 //! ```
 
-use std::collections::HashMap;
-
-use leishen::heuristics::initiated_by_aggregator;
 use leishen::patterns::PatternKind;
-use leishen::{DetectorConfig, LeiShen};
-use leishen_baselines::{DefiRanger, ExplorerLeiShen};
-use leishen_bench::{cli_f64, cli_u64, known_attack_world, measure_latencies, percentile, print_table, wild_world};
-use leishen_scenarios::generator::AGGREGATOR_APPS;
+use leishen::DetectorConfig;
+use leishen_bench::{
+    cli_f64, cli_u64, known_attack_world, measure_latencies, percentile, print_table,
+    table4_tally, table5_tally, wild_world, AttackFlags, Table5,
+};
 
 fn main() {
     let seed = cli_u64("--seed", 42);
@@ -31,75 +29,30 @@ fn main() {
     // ---- known attacks (Tables I & IV) ----
     eprintln!("running the 22 known attacks...");
     let (world, attacks) = known_attack_world();
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let detector = LeiShen::new(DetectorConfig::paper());
-    let ranger = DefiRanger::new();
-    let explorer = ExplorerLeiShen::new(DetectorConfig::paper());
-    let (mut ls, mut dr, mut ex, mut patterns_ok) = (0, 0, 0, 0);
-    for attack in &attacks {
-        let record = world.chain.replay(attack.tx).expect("recorded");
-        let analysis = detector.analyze(record, &view);
-        ls += analysis.is_attack() as usize;
-        dr += ranger.is_attack(record) as usize;
-        ex += explorer.is_attack(record) as usize;
-        let ok = attack
-            .spec
-            .patterns
-            .iter()
-            .all(|k| analysis.matches.iter().any(|m| m.kind == *k))
-            || !attack.spec.expect_leishen;
-        patterns_ok += ok as usize;
-    }
+    let tally = table4_tally(&world, &attacks);
+    let count = |flagged: fn(&AttackFlags) -> bool| {
+        tally.iter().filter(|t| flagged(t)).count().to_string()
+    };
+    let patterns_ok = tally
+        .iter()
+        .filter(|t| {
+            let spec = &t.attack.spec;
+            spec.patterns.iter().all(|k| t.kinds.contains(k)) || !spec.expect_leishen
+        })
+        .count();
     row("Table I pattern assignments (of 22)", "22", patterns_ok.to_string());
-    row("Table IV LeiShen detections", "15", ls.to_string());
-    row("Table IV DeFiRanger detections", "9", dr.to_string());
-    row("Table IV Explorer+LeiShen detections", "4", ex.to_string());
+    row("Table IV LeiShen detections", "15", count(|t| t.leishen));
+    row("Table IV DeFiRanger detections", "9", count(|t| t.defiranger));
+    row("Table IV Explorer+LeiShen detections", "4", count(|t| t.explorer));
 
     // ---- wild scan (Table V, §VI-C, Fig. 8) ----
     eprintln!("running the wild scan (seed={seed}, scale={scale})...");
     let (world, corpus) = wild_world(seed, scale);
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let mut per: HashMap<PatternKind, (usize, usize)> = HashMap::new();
-    let (mut detected, mut tp) = (0usize, 0usize);
-    let (mut mbs_tp_h, mut mbs_fp_h) = (0usize, 0usize);
-    for gtx in &corpus {
-        let record = world.chain.replay(gtx.tx).expect("recorded");
-        let analysis = detector.analyze(record, &view);
-        if !analysis.is_attack() {
-            continue;
-        }
-        detected += 1;
-        tp += gtx.class.is_attack() as usize;
-        let mut kinds: Vec<PatternKind> = analysis.matches.iter().map(|m| m.kind).collect();
-        kinds.sort();
-        kinds.dedup();
-        let dropped = initiated_by_aggregator(
-            record.from,
-            AGGREGATOR_APPS,
-            view.labels(),
-            view.creations(),
-        );
-        for kind in kinds {
-            let slot = per.entry(kind).or_insert((0, 0));
-            let is_tp = gtx.class.pattern_is_true(kind);
-            if is_tp {
-                slot.0 += 1;
-            } else {
-                slot.1 += 1;
-            }
-            if kind == PatternKind::Mbs && !dropped {
-                if is_tp {
-                    mbs_tp_h += 1;
-                } else {
-                    mbs_fp_h += 1;
-                }
-            }
-        }
-    }
+    let detections = table5_tally(&world, &corpus);
+    let table5 = Table5::of(&detections);
+    let (detected, tp) = (table5.detected, table5.tp);
     let fmt_pattern = |k: PatternKind| {
-        let (t, f) = per.get(&k).copied().unwrap_or((0, 0));
+        let (t, f) = table5.pattern(k);
         format!("{}/{}/{}", t + f, t, f)
     };
     row("Table V total detected", "180", detected.to_string());
@@ -112,6 +65,8 @@ fn main() {
     row("Table V KRP N/TP/FP", "21/21/0", fmt_pattern(PatternKind::Krp));
     row("Table V SBS N/TP/FP", "79/68/11", fmt_pattern(PatternKind::Sbs));
     row("Table V MBS N/TP/FP", "107/60/47", fmt_pattern(PatternKind::Mbs));
+    let (mbs_tp_h, mbs_fp_h) =
+        Table5::of(detections.iter().filter(|d| !d.by_aggregator)).pattern(PatternKind::Mbs);
     row(
         "§VI-C MBS precision w/ heuristic",
         "80.0%",

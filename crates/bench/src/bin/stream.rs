@@ -8,15 +8,18 @@
 //! queues' backpressure admits — so the measured rate is the *sustained*
 //! one and the per-verdict latency includes real queueing delay.
 //!
-//! Before timing anything, the run asserts the stream's core contract:
+//! Before timing anything, the run checks the stream's core contract:
 //! the streamed verdicts and quarantine set are identical to a one-shot
 //! batch `scan_resilient` over the same records. A divergence is a
-//! correctness bug, not a slow run, and exits non-zero immediately.
+//! correctness bug, not a slow run: the bin records it in the
+//! `equivalence` flags, and, once the report is written, names it and
+//! exits 1, as it does when a curve drops a transaction, quarantines
+//! one, or sees no attack.
 //!
 //! Results land in `BENCH_stream.json` (schema in `EXPERIMENTS.md`);
 //! the headline `sustained_tx_per_sec` / `p50_latency_us` /
 //! `p99_latency_us` fields are taken from the bursty curve, which is
-//! what `bench_diff --baseline-stream` gates on.
+//! what `bench_diff stream` compares.
 //!
 //! ```text
 //! cargo run --release -p leishen-bench --bin stream -- [--seed 42]
@@ -33,7 +36,7 @@ use leishen::stream::{Block, StreamConfig, StreamService};
 use leishen::{ChainView, DetectorConfig, LeiShen, ScanEngine, TagCache};
 use leishen_bench::{
     cli_f64, cli_flag, cli_str, cli_u64, corpus_records, percentile, print_table, sort_samples,
-    wild_world,
+    wild_world, Checks,
 };
 use leishen_scenarios::ArrivalCurve;
 
@@ -93,15 +96,22 @@ fn run_curve(
     (tps, samples, report)
 }
 
-/// Asserts batch≡stream on this corpus before anything is timed: the
+/// Batch≡stream on this corpus, checked before anything is timed: the
 /// one-shot `scan_resilient` and a single streamed pass must agree on
 /// every verdict and on the quarantine set.
-fn assert_equivalence(
+struct Equivalence {
+    verdicts_match: bool,
+    quarantines_match: bool,
+    /// The batch verdicts' attack marks.
+    marks: Vec<bool>,
+}
+
+fn equivalence(
     detector: &LeiShen,
     view: &ChainView<'_>,
     records: &[&TxRecord],
     workers: usize,
-) -> Vec<bool> {
+) -> Equivalence {
     let policy = ResilienceConfig::new();
     let batch = ScanEngine::new(workers).allow_oversubscription().scan_resilient(
         detector,
@@ -115,26 +125,32 @@ fn assert_equivalence(
     let (_, _, report) =
         run_curve(&service, detector, view, &TagCache::new(), records, &curve);
 
-    assert_eq!(report.transactions, batch.verdicts.len(), "stream dropped transactions");
-    let mut marks = Vec::with_capacity(batch.verdicts.len());
-    for (i, (s, b)) in report.verdicts().zip(batch.verdicts.iter()).enumerate() {
-        if format!("{s:?}") != format!("{b:?}") {
-            eprintln!("STREAM DIVERGED from batch at tx index {i}:\n  batch:  {b:?}\n  stream: {s:?}");
-            std::process::exit(1);
-        }
-        marks.push(matches!(b, Verdict::Analyzed(a) if a.is_attack()));
+    let diverged = report
+        .verdicts()
+        .zip(batch.verdicts.iter())
+        .enumerate()
+        .find(|(_, (s, b))| format!("{s:?}") != format!("{b:?}"));
+    if let Some((i, (s, b))) = &diverged {
+        eprintln!("STREAM DIVERGED from batch at tx index {i}:\n  batch:  {b:?}\n  stream: {s:?}");
     }
-    if !report.quarantined_indices().eq(batch.quarantined_indices()) {
-        eprintln!("STREAM DIVERGED from batch: quarantine sets differ");
-        std::process::exit(1);
-    }
+    let eq = Equivalence {
+        verdicts_match: report.transactions == batch.verdicts.len() && diverged.is_none(),
+        quarantines_match: report.quarantined_indices().eq(batch.quarantined_indices()),
+        marks: batch
+            .verdicts
+            .iter()
+            .map(|b| matches!(b, Verdict::Analyzed(a) if a.is_attack()))
+            .collect(),
+    };
     println!(
-        "equivalence: {} streamed verdicts identical to batch scan ({} attacks, {} quarantined)",
+        "equivalence: {} of {} streamed verdicts, quarantines {} ({} attacks, {} quarantined)",
+        if eq.verdicts_match { "identical" } else { "DIVERGED" },
         batch.verdicts.len(),
+        if eq.quarantines_match { "identical" } else { "DIVERGED" },
         batch.stats.attacks,
         batch.stats.quarantined
     );
-    marks
+    eq
 }
 
 fn main() {
@@ -160,7 +176,7 @@ fn main() {
     // The contract first: a diverging stream makes the numbers
     // meaningless. The batch attack marks double as the adversarial
     // curve's burst schedule.
-    let marks = assert_equivalence(&detector, &view, &records, workers);
+    let eq = equivalence(&detector, &view, &records, workers);
 
     let curves: Vec<(&'static str, ArrivalCurve)> = if smoke {
         vec![("bursty", ArrivalCurve::bursty(seed, 8))]
@@ -168,7 +184,7 @@ fn main() {
         vec![
             ("steady", ArrivalCurve::steady(8)),
             ("bursty", ArrivalCurve::bursty(seed, 8)),
-            ("adversarial", ArrivalCurve::adversarial(seed, 16, marks)),
+            ("adversarial", ArrivalCurve::adversarial(seed, 16, eq.marks)),
         ]
     };
 
@@ -262,10 +278,12 @@ fn main() {
         "{{\n  \"bench\": \"stream\",\n  \"smoke\": {smoke},\n  \"seed\": {seed},\n  \
          \"corpus\": {{ \"seed\": {seed}, \"scale\": {scale}, \"transactions\": {n} }},\n  \
          \"workers\": {workers},\n  \"reps\": {reps},\n  \
-         \"equivalence\": {{ \"verdicts_match\": true, \"quarantines_match\": true }},\n  \
+         \"equivalence\": {{ \"verdicts_match\": {}, \"quarantines_match\": {} }},\n  \
          \"curves\": [\n    {entries}\n  ],\n  \
          \"sustained_tx_per_sec\": {:.1},\n  \"p50_latency_us\": {:.2},\n  \
          \"p99_latency_us\": {:.2},\n  \"elapsed_ms\": {}\n}}\n",
+        eq.verdicts_match,
+        eq.quarantines_match,
         headline.tx_per_sec,
         headline.p50_us,
         headline.p99_us,
@@ -273,4 +291,19 @@ fn main() {
     );
     std::fs::write(&out_path, &json).expect("write BENCH_stream.json");
     println!("wrote {out_path}");
+
+    let mut checks = Checks::default();
+    checks.check(eq.verdicts_match, "streamed verdicts diverge from the batch scan");
+    checks.check(eq.quarantines_match, "streamed quarantine set diverges from the batch scan");
+    for r in &runs {
+        let curve = r.curve;
+        checks.check(r.txs == n, format!("{curve}: {} of {n} txs emitted", r.txs));
+        checks.check(
+            r.blocks > 0 && r.tx_per_sec > 0.0,
+            format!("{curve}: {} blocks at {:.1} tx/s", r.blocks, r.tx_per_sec),
+        );
+        checks.check(r.quarantined == 0, format!("{curve}: {} quarantined", r.quarantined));
+        checks.check(r.attacks > 0, format!("{curve}: no attack flagged"));
+    }
+    checks.finish("stream");
 }

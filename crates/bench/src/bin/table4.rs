@@ -5,41 +5,31 @@
 //! cargo run -p leishen-bench --bin table4
 //! ```
 
-use leishen::{DetectorConfig, LeiShen};
-use leishen_baselines::{DefiRanger, ExplorerLeiShen};
-use leishen_bench::{known_attack_world, print_table};
+use leishen_bench::{known_attack_world, print_table, table4_tally};
 
 fn main() {
     let (world, attacks) = known_attack_world();
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let leishen = LeiShen::new(DetectorConfig::paper());
-    let ranger = DefiRanger::new();
-    let explorer = ExplorerLeiShen::new(DetectorConfig::paper());
+    let tally = table4_tally(&world, &attacks);
 
     let mark = |b: bool| if b { "Y".to_string() } else { String::new() };
     let mut rows = Vec::new();
-    let (mut dr_n, mut ex_n, mut ls_n) = (0, 0, 0);
-    for attack in &attacks {
-        let record = world.chain.replay(attack.tx).expect("recorded");
-        let dr = ranger.is_attack(record);
-        let ex = explorer.is_attack(record);
-        let ls = leishen.analyze(record, &view).is_attack();
-        dr_n += dr as usize;
-        ex_n += ex as usize;
-        ls_n += ls as usize;
-        let agree = dr == attack.spec.expect_defiranger
-            && ex == attack.spec.expect_explorer
-            && ls == attack.spec.expect_leishen;
+    for t in &tally {
+        let spec = &t.attack.spec;
+        let agree = t.defiranger == spec.expect_defiranger
+            && t.explorer == spec.expect_explorer
+            && t.leishen == spec.expect_leishen;
         rows.push(vec![
-            attack.spec.id.to_string(),
-            attack.spec.name.to_string(),
-            mark(dr),
-            mark(ex),
-            mark(ls),
+            spec.id.to_string(),
+            spec.name.to_string(),
+            mark(t.defiranger),
+            mark(t.explorer),
+            mark(t.leishen),
             if agree { "ok".into() } else { "MISMATCH".into() },
         ]);
     }
+    let dr_n = tally.iter().filter(|t| t.defiranger).count();
+    let ex_n = tally.iter().filter(|t| t.explorer).count();
+    let ls_n = tally.iter().filter(|t| t.leishen).count();
     println!("Table IV — detection results on known flpAttacks\n");
     print_table(
         &["ID", "Attack", "DeFiRanger", "Explorer+LeiShen", "LeiShen", "vs paper"],

@@ -6,13 +6,8 @@
 //! cargo run -p leishen-bench --bin table5 -- --heuristic
 //! ```
 
-use std::collections::HashMap;
-
-use leishen::heuristics::initiated_by_aggregator;
 use leishen::patterns::PatternKind;
-use leishen::{DetectorConfig, LeiShen};
-use leishen_bench::{cli_f64, cli_flag, cli_u64, print_table, wild_world};
-use leishen_scenarios::generator::AGGREGATOR_APPS;
+use leishen_bench::{cli_f64, cli_flag, cli_u64, print_table, table5_tally, wild_world, Table5};
 
 fn main() {
     let seed = cli_u64("--seed", 42);
@@ -21,40 +16,9 @@ fn main() {
 
     eprintln!("generating corpus (seed={seed}, scale={scale})...");
     let (world, corpus) = wild_world(seed, scale);
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let detector = LeiShen::new(DetectorConfig::paper());
-
-    let mut per: HashMap<PatternKind, (usize, usize)> = HashMap::new();
-    let mut detected = 0usize;
-    let mut tp = 0usize;
-    for gtx in &corpus {
-        let record = world.chain.replay(gtx.tx).expect("recorded");
-        let analysis = detector.analyze(record, &view);
-        if !analysis.is_attack() {
-            continue;
-        }
-        if heuristic
-            && initiated_by_aggregator(record.from, AGGREGATOR_APPS, view.labels(), view.creations())
-        {
-            continue;
-        }
-        detected += 1;
-        if gtx.class.is_attack() {
-            tp += 1;
-        }
-        let mut kinds: Vec<PatternKind> = analysis.matches.iter().map(|m| m.kind).collect();
-        kinds.sort();
-        kinds.dedup();
-        for kind in kinds {
-            let slot = per.entry(kind).or_insert((0, 0));
-            if gtx.class.pattern_is_true(kind) {
-                slot.0 += 1;
-            } else {
-                slot.1 += 1;
-            }
-        }
-    }
+    let tally = table5_tally(&world, &corpus);
+    let counts = Table5::of(tally.iter().filter(|d| !(heuristic && d.by_aggregator)));
+    let (detected, tp) = (counts.detected, counts.tp);
 
     println!(
         "Table V — detection results on the synthetic wild corpus ({} flash-loan txs{})\n",
@@ -69,7 +33,7 @@ fn main() {
         PatternKind::Kdp => ("-", "-", "-", "-"), // experimental, not in the paper
     };
     for kind in [PatternKind::Krp, PatternKind::Sbs, PatternKind::Mbs] {
-        let (tp_k, fp_k) = per.get(&kind).copied().unwrap_or((0, 0));
+        let (tp_k, fp_k) = counts.pattern(kind);
         let n = tp_k + fp_k;
         let p = paper(kind);
         rows.push(vec![

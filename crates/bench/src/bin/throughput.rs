@@ -23,12 +23,16 @@
 //! (1-worker row ÷ serial loop) and `parallel_efficiency` (4-worker row ÷
 //! (1-worker row × the workers the 4-worker scans ran, which
 //! `hw_threads` caps)).
+//!
+//! Once the JSON is written, the bin exits 1, naming each failed check,
+//! unless every row has a positive rate and cache hit rate and a 4-worker
+//! row, when swept, is at least 2× the serial loop.
 
 use leishen::{DetectorConfig, ScanEngine, TagCache};
 use leishen_bench::{
     cli_f64, cli_str, cli_u64, corpus_records, measure_latencies, measure_latencies_cached,
     measure_serial_throughput, measure_throughput, percentile, print_table, sort_samples,
-    wild_world, ThroughputRun,
+    wild_world, Checks, ThroughputRun,
 };
 
 /// Keeps the best (highest tx/s) run seen so far. The corpus takes only
@@ -231,12 +235,23 @@ fn main() {
     std::fs::write("BENCH_scan.json", &json).expect("write BENCH_scan.json");
     println!("wrote BENCH_scan.json");
 
-    if worker_counts.contains(&4) {
-        assert!(
-            speedup_at_4 >= 2.0,
-            "engine at 4 workers must be ≥ 2× the serial loop, got {speedup_at_4:.2}×"
+    let mut checks = Checks::default();
+    for c in &configs {
+        let rate = c.best.map_or(0.0, |r| r.tx_per_sec);
+        checks.check(
+            rate > 0.0 && c.cache.hit_rate() > 0.0,
+            format!(
+                "{}-worker row: {rate:.1} tx/s, cache hit rate {:.4}",
+                c.workers,
+                c.cache.hit_rate()
+            ),
         );
     }
+    checks.check(
+        !worker_counts.contains(&4) || speedup_at_4 >= 2.0,
+        format!("engine at 4 workers must be ≥ 2× the serial loop, got {speedup_at_4:.2}×"),
+    );
+    checks.finish("throughput");
 }
 
 fn row(name: &str, tx_per_sec: f64, speedup: f64, pct: Option<(f64, f64, f64)>) -> Vec<String> {

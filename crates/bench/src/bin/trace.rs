@@ -25,18 +25,22 @@
 //! For the first attack (bZx-1) the post-attack laundering scenario runs
 //! too, so its trace carries multi-level and coin-mixer exits rather than
 //! only direct cash-outs.
+//!
+//! Once the artifacts are written, the bin parses them back, checks their
+//! shape, and names each failed check before exiting 1.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use ethsim::TxRecord;
 use leishen::trace::export::{export_chrome_trace, export_jsonl, parse_jsonl};
+use leishen::trace::json::{parse, Json};
 use leishen::trace::{Reason, TraceEvent, Verdict};
 use leishen::{
     aggregator_heuristic, trace_exits, DetectorConfig, FlightRecorder, LeiShen, ScanEngine,
     TagCache,
 };
-use leishen_bench::{cli_flag, corpus_records, known_attack_world, print_table};
+use leishen_bench::{cli_flag, corpus_records, known_attack_world, print_table, Checks};
 use leishen_scenarios::generator::AGGREGATOR_APPS;
 use leishen_scenarios::laundering::launder_profit;
 
@@ -89,8 +93,12 @@ fn main() {
     let engine = ScanEngine::new(4).allow_oversubscription();
     let traced = engine.scan_traced(&detector, &records, &view, &cache, &recorder);
     let reference: Vec<_> = records.iter().map(|r| detector.analyze(r, &view)).collect();
-    assert_eq!(traced, reference, "traced scan must not perturb analyses");
-    assert_eq!(recorder.recorded(), records.len() as u64);
+    let mut checks = Checks::default();
+    checks.check(traced == reference, "the traced scan perturbed an analysis");
+    checks.check(
+        recorder.recorded() == records.len() as u64,
+        format!("recorder captured {} of {} txs", recorder.recorded(), records.len()),
+    );
 
     // ----- cross-link forensics into every trace ---------------------------
     for attack in subset {
@@ -142,29 +150,31 @@ fn main() {
                 });
             }
         });
-        assert!(annotated, "{}: trace missing from recorder", attack.spec.name);
+        checks.check(annotated, format!("{}: trace missing from recorder", attack.spec.name));
     }
 
     // ----- per-attack provenance report ------------------------------------
     let traces = recorder.traces();
-    assert_eq!(traces.len(), subset.len());
+    checks.check(
+        traces.len() == subset.len(),
+        format!("{} traces for {} attacks", traces.len(), subset.len()),
+    );
     let mut rows = Vec::new();
     let mut provenance = Vec::new();
     for attack in subset {
-        let trace = recorder.find(attack.tx).expect("trace recorded");
-        assert_eq!(
-            trace.decision.flagged, attack.spec.expect_leishen,
-            "{}: flag disagrees with Table IV",
-            attack.spec.name
+        let name = attack.spec.name;
+        let Some(trace) = recorder.find(attack.tx) else {
+            continue;
+        };
+        checks.check(
+            trace.decision.flagged == attack.spec.expect_leishen,
+            format!("{name}: flag disagrees with Table IV"),
         );
-        assert!(!trace.decision.reasons.is_empty(), "reason chain never empty");
-        if trace.decision.flagged {
-            assert!(
-                trace.decision.names_pattern(),
-                "{}: flagged without naming a pattern",
-                attack.spec.name
-            );
-        }
+        checks.check(!trace.decision.reasons.is_empty(), format!("{name}: empty reason chain"));
+        checks.check(
+            !trace.decision.flagged || trace.decision.names_pattern(),
+            format!("{name}: flagged without naming a pattern"),
+        );
         let chain: Vec<String> = trace.decision.reasons.iter().map(reason_str).collect();
         let (mut matched, mut rejected) = (0usize, 0usize);
         let mut first_failed: Option<&str> = None;
@@ -223,8 +233,10 @@ fn main() {
 
     // ----- artifacts --------------------------------------------------------
     let jsonl = export_jsonl(&traces);
-    let parsed = parse_jsonl(&jsonl).expect("exported JSONL must parse back");
-    assert_eq!(parsed, traces, "JSONL round trip must be lossless");
+    checks.check(
+        parse_jsonl(&jsonl).is_ok_and(|parsed| parsed == traces),
+        "the JSONL round trip is lossy",
+    );
     std::fs::write("TRACE_events.jsonl", &jsonl).expect("write TRACE_events.jsonl");
 
     let chrome = export_chrome_trace(&traces);
@@ -238,4 +250,51 @@ fn main() {
     std::fs::write("TRACE_provenance.json", &provenance_json)
         .expect("write TRACE_provenance.json");
     println!("wrote TRACE_events.jsonl, TRACE_chrome.json, TRACE_provenance.json");
+
+    check_artifacts(&mut checks, subset.len());
+    checks.finish("trace");
+}
+
+/// Parses the three written artifacts back and checks their shape: one
+/// JSONL trace per attack, each with a reason chain and spans; a
+/// non-empty Chrome trace of complete (`"X"`) events; one provenance
+/// report per attack, each flagged one naming a pattern.
+fn check_artifacts(checks: &mut Checks, attacks: usize) {
+    fn arr<'a>(doc: &'a Json, path: &[&str]) -> &'a [Json] {
+        path.iter().try_fold(doc, |d, key| d.get(key)).and_then(Json::as_arr).unwrap_or(&[])
+    }
+    let load = |path: &str| std::fs::read_to_string(path).unwrap_or_default();
+    let json = |text: &str| parse(text).unwrap_or(Json::Null);
+
+    let events = load("TRACE_events.jsonl");
+    let traces: Vec<Json> = events.lines().filter(|l| !l.is_empty()).map(json).collect();
+    checks.check(
+        traces.len() == attacks,
+        format!("TRACE_events.jsonl holds {} traces for {attacks} attacks", traces.len()),
+    );
+    let complete = |t: &Json| {
+        !arr(t, &["decision", "reasons"]).is_empty() && !arr(t, &["spans"]).is_empty()
+    };
+    checks.check(traces.iter().all(complete), "a TRACE_events.jsonl trace lacks reasons or spans");
+    let chrome = json(&load("TRACE_chrome.json"));
+    let events = arr(&chrome, &["traceEvents"]);
+    let slice = |e: &Json| e.get("ph").and_then(Json::as_str) == Some("X");
+    checks.check(
+        !events.is_empty() && events.iter().all(slice),
+        "TRACE_chrome.json is empty or holds a non-\"X\" event",
+    );
+    let provenance = json(&load("TRACE_provenance.json"));
+    let reports = arr(&provenance, &["reports"]);
+    checks.check(
+        provenance.get("attacks").and_then(Json::as_u64) == Some(attacks as u64)
+            && reports.len() == attacks,
+        format!("TRACE_provenance.json holds {} reports for {attacks} attacks", reports.len()),
+    );
+    let names_pattern = |r: &Json| {
+        let mut reasons = arr(r, &["reasons"]).iter().filter_map(Json::as_str);
+        reasons.any(|s| ["KRP", "SBS", "MBS"].iter().any(|kind| s.contains(kind)))
+    };
+    let mut flagged =
+        reports.iter().filter(|r| r.get("flagged").and_then(Json::as_bool) == Some(true));
+    checks.check(flagged.all(names_pattern), "a flagged provenance report names no pattern");
 }

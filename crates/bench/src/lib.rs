@@ -1,5 +1,5 @@
 //! Shared harness code for the table/figure regeneration binaries and the
-//! Criterion benches.
+//! campaign bins.
 //!
 //! Every binary regenerates one table or figure from the paper's
 //! evaluation (see `DESIGN.md`'s experiment index):
@@ -17,12 +17,22 @@
 //! | `fig8`    | monthly unknown flpAttacks |
 //! | `latency` | per-transaction detection latency (§VI-A) |
 //! | `ablation`| threshold sweeps (§VII) |
+//!
+//! `table4`, `table5` and `scorecard` print from one [`table4_tally`] and
+//! one [`table5_tally`]. The campaign bins (`fuzz`, `chaos`, `recover`,
+//! `evade`, `stream`, `obs`, `throughput`, `trace`) judge their own runs
+//! through [`Checks`]; `bench_diff` judges only drift from a committed
+//! baseline.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use ethsim::TxRecord;
+use leishen::heuristics::initiated_by_aggregator;
+use leishen::patterns::PatternKind;
 use leishen::{ChainView, DetectorConfig, LeiShen, ScanEngine, TagCache};
-use leishen_scenarios::generator::{generate, GeneratorConfig};
+use leishen_baselines::{DefiRanger, ExplorerLeiShen};
+use leishen_scenarios::generator::{generate, GeneratorConfig, TxClass, AGGREGATOR_APPS};
 use leishen_scenarios::{run_all_attacks, ExecutedAttack, GeneratedTx, World};
 
 /// A world with all 22 known attacks executed.
@@ -126,8 +136,13 @@ pub fn corpus_records(
     records
 }
 
+/// Timed passes [`measure_latencies`] makes over its set.
+const LATENCY_PASSES: usize = 5;
+
 /// Times the detector over a set of transactions and returns latencies in
-/// microseconds (per transaction).
+/// microseconds (per transaction). The set is analyzed once untimed, then
+/// timed in five passes in order; each transaction reports its median
+/// over the passes, so one preempted analysis cannot move it.
 pub fn measure_latencies(
     world: &World,
     txs: impl Iterator<Item = ethsim::TxId>,
@@ -136,21 +151,32 @@ pub fn measure_latencies(
     let labels = world.detector_labels();
     let view = world.view(&labels);
     let detector = LeiShen::new(config);
-    let mut out = Vec::new();
-    for tx in txs {
-        let record = world.chain.replay(tx).expect("recorded");
-        let start = Instant::now();
-        let analysis = detector.analyze(record, &view);
-        let elapsed = start.elapsed().as_secs_f64() * 1e6;
-        std::hint::black_box(&analysis);
-        out.push(elapsed);
+    let records: Vec<&TxRecord> =
+        txs.map(|tx| world.chain.replay(tx).expect("recorded")).collect();
+    for record in &records {
+        std::hint::black_box(detector.analyze(record, &view));
     }
-    out
+    let mut passes = vec![[0.0; LATENCY_PASSES]; records.len()];
+    for pass in 0..LATENCY_PASSES {
+        for (record, samples) in records.iter().zip(&mut passes) {
+            let start = Instant::now();
+            let analysis = detector.analyze(record, &view);
+            samples[pass] = start.elapsed().as_secs_f64() * 1e6;
+            std::hint::black_box(&analysis);
+        }
+    }
+    passes
+        .into_iter()
+        .map(|mut samples| {
+            sort_samples(&mut samples);
+            samples[LATENCY_PASSES / 2]
+        })
+        .collect()
 }
 
 /// Per-transaction latencies (µs) through the batch-scan hot path: tags
-/// resolved via one shared [`TagCache`] across the whole set. The
-/// cache-warm twin of [`measure_latencies`].
+/// resolved via one shared [`TagCache`] across the whole set, each
+/// transaction timed once. The cache-warm twin of [`measure_latencies`].
 pub fn measure_latencies_cached(
     world: &World,
     txs: impl Iterator<Item = ethsim::TxId>,
@@ -270,6 +296,148 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 100.0) };
     let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize - 1;
     sorted[rank.min(sorted.len() - 1)]
+}
+
+/// One known attack under the three Table IV detectors.
+pub struct AttackFlags<'a> {
+    /// The attack, with its Table I/IV expectations.
+    pub attack: &'a ExecutedAttack,
+    /// DeFiRanger flagged it.
+    pub defiranger: bool,
+    /// Explorer+LeiShen flagged it.
+    pub explorer: bool,
+    /// LeiShen flagged it.
+    pub leishen: bool,
+    /// The pattern kinds LeiShen matched.
+    pub kinds: Vec<PatternKind>,
+}
+
+/// The Table IV tally: every known attack under DeFiRanger,
+/// Explorer+LeiShen and LeiShen (paper config), in Table I order.
+pub fn table4_tally<'a>(world: &World, attacks: &'a [ExecutedAttack]) -> Vec<AttackFlags<'a>> {
+    let labels = world.detector_labels();
+    let view = world.view(&labels);
+    let leishen = LeiShen::new(DetectorConfig::paper());
+    let ranger = DefiRanger::new();
+    let explorer = ExplorerLeiShen::new(DetectorConfig::paper());
+    attacks
+        .iter()
+        .map(|attack| {
+            let record = world.chain.replay(attack.tx).expect("recorded");
+            let analysis = leishen.analyze(record, &view);
+            AttackFlags {
+                attack,
+                defiranger: ranger.is_attack(record),
+                explorer: explorer.is_attack(record),
+                leishen: analysis.is_attack(),
+                kinds: analysis.matches.iter().map(|m| m.kind).collect(),
+            }
+        })
+        .collect()
+}
+
+/// One wild transaction LeiShen (paper config) flagged.
+pub struct Detection {
+    /// The matched pattern kinds, sorted and deduplicated.
+    pub kinds: Vec<PatternKind>,
+    /// The transaction's ground truth.
+    pub class: TxClass,
+    /// An aggregator initiated it, so the §VI-C heuristic drops it.
+    pub by_aggregator: bool,
+}
+
+/// The Table V tally: every detection of a wild-corpus scan, in corpus
+/// order.
+pub fn table5_tally(world: &World, corpus: &[GeneratedTx]) -> Vec<Detection> {
+    let labels = world.detector_labels();
+    let view = world.view(&labels);
+    let detector = LeiShen::new(DetectorConfig::paper());
+    let mut detections = Vec::new();
+    for gtx in corpus {
+        let record = world.chain.replay(gtx.tx).expect("recorded");
+        let analysis = detector.analyze(record, &view);
+        if !analysis.is_attack() {
+            continue;
+        }
+        let mut kinds: Vec<PatternKind> = analysis.matches.iter().map(|m| m.kind).collect();
+        kinds.sort();
+        kinds.dedup();
+        detections.push(Detection {
+            kinds,
+            class: gtx.class,
+            by_aggregator: initiated_by_aggregator(
+                record.from,
+                AGGREGATOR_APPS,
+                view.labels(),
+                view.creations(),
+            ),
+        });
+    }
+    detections
+}
+
+/// Table V's counts over a set of detections.
+pub struct Table5 {
+    /// Transactions detected.
+    pub detected: usize,
+    /// Detected transactions that are true attacks.
+    pub tp: usize,
+    per: HashMap<PatternKind, (usize, usize)>,
+}
+
+impl Table5 {
+    /// Counts `detections`: per pattern, a hit is a TP when ground truth
+    /// says that pattern is real.
+    pub fn of<'a>(detections: impl IntoIterator<Item = &'a Detection>) -> Table5 {
+        let mut t = Table5 { detected: 0, tp: 0, per: HashMap::new() };
+        for d in detections {
+            t.detected += 1;
+            t.tp += d.class.is_attack() as usize;
+            for &kind in &d.kinds {
+                let slot = t.per.entry(kind).or_insert((0, 0));
+                if d.class.pattern_is_true(kind) {
+                    slot.0 += 1;
+                } else {
+                    slot.1 += 1;
+                }
+            }
+        }
+        t
+    }
+
+    /// `(TP, FP)` of one pattern.
+    pub fn pattern(&self, kind: PatternKind) -> (usize, usize) {
+        self.per.get(&kind).copied().unwrap_or((0, 0))
+    }
+}
+
+/// The absolute checks a bin makes on its own run. A bin writes its
+/// report first and then calls [`Checks::finish`], which names every
+/// failed check and exits 1.
+#[derive(Default)]
+pub struct Checks {
+    failed: Vec<String>,
+}
+
+impl Checks {
+    /// Records `what` as failed unless `ok`.
+    pub fn check(&mut self, ok: bool, what: impl Into<String>) {
+        if !ok {
+            self.failed.push(what.into());
+        }
+    }
+
+    /// Prints each failed check as `<bin> FAILED: <check>` and exits 1;
+    /// returns when every check passed.
+    pub fn finish(self, bin: &str) {
+        if self.failed.is_empty() {
+            return;
+        }
+        for what in &self.failed {
+            eprintln!("{bin} FAILED: {what}");
+        }
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]
