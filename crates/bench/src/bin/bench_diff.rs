@@ -16,9 +16,11 @@
 //! its scale-free speedup.
 //!
 //! Exit codes: 1 when a rule fails; 2 for a missing file, an unknown
-//! bench, or a worker sweep whose 8-worker row falls below its 2-worker
-//! row (a broken sweep, not a gradual regression); 3 for a file that is
-//! not JSON, is another bench's file, or lacks a field a rule reads.
+//! bench, a pair of files no rule applies to (every rule skipped: a
+//! comparison that judged nothing must not pass), or a worker sweep
+//! whose 8-worker row falls below its 2-worker row (a broken sweep, not
+//! a gradual regression); 3 for a file that is not JSON, is another
+//! bench's file, or lacks a field a rule reads.
 
 use std::process::ExitCode;
 
@@ -277,7 +279,11 @@ fn evaluate(bench: &str, base: &Doc, fresh: &Doc, out: &mut Vec<Finding>) -> Res
             return Err(Fault(3, message));
         }
     }
-    rules.into_iter().try_for_each(|rule| judge(rule, base, fresh, out))
+    rules.into_iter().try_for_each(|rule| judge(rule, base, fresh, out))?;
+    if out.iter().all(|f| f.ok.is_none()) {
+        return Err(Fault(2, format!("bench_diff: {bench}: no rule applied to these files")));
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -491,6 +497,20 @@ mod tests {
             assert!(message.contains("baseline.json"), "{message}");
             assert!(message.contains(&path.join(".")), "{message}");
         }
+    }
+
+    #[test]
+    fn a_pair_no_rule_applies_to_exits_2() {
+        // A smoke run measures a smaller corpus than the committed file,
+        // so the obs rule skips and nothing is judged.
+        let base = committed("obs", "baseline.json");
+        let mut fresh = committed("obs", "fresh.json");
+        scale(&mut fresh, &["corpus", "transactions"], 0.5);
+        let mut out = Vec::new();
+        let Fault(code, message) = evaluate("obs", &base, &fresh, &mut out).expect_err("skips");
+        assert_eq!(code, 2);
+        assert!(message.contains("no rule applied"), "{message}");
+        assert!(!out.is_empty() && out.iter().all(|f| f.ok.is_none()));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use ethsim::TxRecord;
 use leishen::resilience::{ResilienceConfig, Verdict};
-use leishen::stream::{Block, StreamConfig, StreamService};
+use leishen::stream::{StreamConfig, StreamService};
 use leishen::{ChainView, DetectorConfig, LeiShen, ScanEngine, TagCache};
 use leishen_bench::{
     cli_f64, cli_flag, cli_str, cli_u64, corpus_records, percentile, print_table, sort_samples,
@@ -67,12 +67,7 @@ fn run_curve(
     records: &[&TxRecord],
     curve: &ArrivalCurve,
 ) -> (f64, Vec<f64>, leishen::StreamReport) {
-    let cuts = curve.blocks(records.len());
-    let blocks: Vec<Block<'_>> = cuts
-        .into_iter()
-        .enumerate()
-        .map(|(i, range)| Block { number: i as u64, txs: records[range].to_vec() })
-        .collect();
+    let blocks = curve.cut(records);
     let start = Instant::now();
     let report = service.run(
         detector,

@@ -12,11 +12,12 @@
 //!   provenance traces ([`crate::trace::Reason::Indeterminate`]) and
 //!   telemetry counters
 //!   ([`crate::telemetry::TxCountersTotal::quarantined`]).
-//! * **Policy** — [`ResilienceConfig`] decides whether inputs are
-//!   validated against the `ethsim` invariant list before analysis and
-//!   whether a panicking analysis is retried once with fresh scratch
-//!   state (transient faults — an injected panic, a poisoned cache line
-//!   — succeed on retry; deterministic ones quarantine).
+//! * **Policy** — under a [`ResilienceConfig`] every input is validated
+//!   against the `ethsim` invariant list before analysis; the policy
+//!   decides whether a panicking analysis is retried once with fresh
+//!   scratch state (transient faults — an injected panic, a poisoned
+//!   cache line — succeed on retry; deterministic ones quarantine) and
+//!   when the scan's deadline expires.
 //! * **Fault injection** — a seed-deterministic [`FaultPlan`] assigns
 //!   faults to corpus positions: corrupted inputs applied at the
 //!   `ethsim` boundary by the `scenarios` crate's corruption
@@ -157,13 +158,14 @@ impl Verdict {
 }
 
 /// What the resilient scan does about faults.
+///
+/// Every policy runs [`ethsim::validate_record`] before analysis and
+/// quarantines records that violate the executor invariants: the
+/// pipeline is only hardened against records the executor could have
+/// produced. A scan without a policy (`ScanEngine::scan`) validates
+/// nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResilienceConfig {
-    /// Run [`ethsim::validate_record`] before analysis and quarantine
-    /// records that violate the executor invariants (recommended: the
-    /// pipeline is only hardened against records the executor could
-    /// have produced).
-    pub validate_inputs: bool,
     /// Retry a panicked analysis once with fresh scratch state before
     /// quarantining. Transient faults (scheduling artifacts, injected
     /// chaos) succeed on retry; deterministic panics quarantine on the
@@ -183,7 +185,6 @@ pub struct ResilienceConfig {
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
-            validate_inputs: true,
             retry_once: true,
             deadline: None,
         }
@@ -194,12 +195,6 @@ impl ResilienceConfig {
     /// The recommended policy: validate inputs, retry once.
     pub fn new() -> Self {
         ResilienceConfig::default()
-    }
-
-    /// Disables input validation (panics are still isolated).
-    pub fn without_validation(mut self) -> Self {
-        self.validate_inputs = false;
-        self
     }
 
     /// Disables the retry, quarantining on the first panic.
@@ -444,7 +439,7 @@ pub enum PlannedFault {
 
 /// A seed-deterministic assignment of faults to corpus positions.
 ///
-/// The same `(seed, rate, fault menu)` triple always produces the same
+/// The same `(seed, rate)` pair always produces the same
 /// [`FaultPlan::assign`] output, so a chaos campaign replays exactly —
 /// the same property the fuzz campaigns have.
 #[derive(Clone, Debug, PartialEq)]
@@ -453,81 +448,47 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Faults per 1000 transactions (1000 = every transaction).
     pub rate_permille: u32,
-    /// Corrupted-input kinds to draw from.
-    pub input_faults: Vec<InputFault>,
-    /// Stages eligible for induced panics (empty disables them).
-    pub panic_stages: Vec<Stage>,
-    /// Stages eligible for induced delays (empty disables them).
-    pub delay_stages: Vec<Stage>,
-    /// Induced delay length, microseconds.
-    pub delay_micros: u32,
 }
 
-/// The pipeline stages the tentpole targets for induced faults
-/// (tagging, simplification, pattern matching — the three stages that
-/// touch the most adversarial-controlled structure).
-const DEFAULT_INDUCED_STAGES: [Stage; 3] = [Stage::Tagging, Stage::Simplify, Stage::Patterns];
-
 impl FaultPlan {
-    /// A plan over every fault kind: all five input corruptions plus
-    /// induced panics and 50µs delays at tagging/simplify/patterns.
+    /// The menu every plan draws from, in stable order: the five input
+    /// corruptions ([`InputFault::ALL`] order), then induced panics and
+    /// 50µs delays at tagging, simplification and pattern matching —
+    /// the three stages that touch the most adversary-controlled
+    /// structure.
+    pub const MENU: [PlannedFault; 11] = [
+        PlannedFault::Input(InputFault::TruncatedJournal),
+        PlannedFault::Input(InputFault::ShuffledSeqs),
+        PlannedFault::Input(InputFault::CyclicFrames),
+        PlannedFault::Input(InputFault::OverflowAmount),
+        PlannedFault::Input(InputFault::DanglingLog),
+        PlannedFault::Induced(InducedFault::Panic { stage: Stage::Tagging }),
+        PlannedFault::Induced(InducedFault::Panic { stage: Stage::Simplify }),
+        PlannedFault::Induced(InducedFault::Panic { stage: Stage::Patterns }),
+        PlannedFault::Induced(InducedFault::Delay { stage: Stage::Tagging, micros: 50 }),
+        PlannedFault::Induced(InducedFault::Delay { stage: Stage::Simplify, micros: 50 }),
+        PlannedFault::Induced(InducedFault::Delay { stage: Stage::Patterns, micros: 50 }),
+    ];
+
+    /// A plan faulting `rate_permille` of the positions (capped at
+    /// 1000) from [`FaultPlan::MENU`].
     pub fn new(seed: u64, rate_permille: u32) -> Self {
-        FaultPlan {
-            seed,
-            rate_permille: rate_permille.min(1000),
-            input_faults: InputFault::ALL.to_vec(),
-            panic_stages: DEFAULT_INDUCED_STAGES.to_vec(),
-            delay_stages: DEFAULT_INDUCED_STAGES.to_vec(),
-            delay_micros: 50,
-        }
-    }
-
-    /// A plan drawing only corrupted-input faults.
-    pub fn inputs_only(seed: u64, rate_permille: u32) -> Self {
-        let mut plan = FaultPlan::new(seed, rate_permille);
-        plan.panic_stages.clear();
-        plan.delay_stages.clear();
-        plan
-    }
-
-    /// The flattened fault menu this plan draws from, in stable order.
-    pub fn menu(&self) -> Vec<PlannedFault> {
-        let mut menu: Vec<PlannedFault> =
-            self.input_faults.iter().map(|&f| PlannedFault::Input(f)).collect();
-        menu.extend(
-            self.panic_stages
-                .iter()
-                .map(|&stage| PlannedFault::Induced(InducedFault::Panic { stage })),
-        );
-        if self.delay_micros > 0 {
-            menu.extend(self.delay_stages.iter().map(|&stage| {
-                PlannedFault::Induced(InducedFault::Delay {
-                    stage,
-                    micros: self.delay_micros,
-                })
-            }));
-        }
-        menu
+        FaultPlan { seed, rate_permille: rate_permille.min(1000) }
     }
 
     /// Deterministically assigns faults to the positions of a
     /// `corpus_len`-transaction batch. Each position independently
     /// draws "faulted?" at `rate_permille`, then a fault uniformly
-    /// from [`FaultPlan::menu`].
+    /// from [`FaultPlan::MENU`].
     pub fn assign(&self, corpus_len: usize) -> Vec<Option<PlannedFault>> {
-        let menu = self.menu();
         let mut rng = FuzzRng::new(self.seed);
         (0..corpus_len)
             .map(|_| {
                 // Always consume the same number of draws per position
                 // so assignments at different rates stay aligned.
                 let roll = rng.below(1000) as u32;
-                let pick = rng.below(menu.len().max(1));
-                if roll < self.rate_permille && !menu.is_empty() {
-                    Some(menu[pick])
-                } else {
-                    None
-                }
+                let pick = rng.below(Self::MENU.len());
+                (roll < self.rate_permille).then_some(Self::MENU[pick])
             })
             .collect()
     }
@@ -643,21 +604,6 @@ mod tests {
     fn zero_rate_assigns_nothing_and_full_rate_everything() {
         assert!(FaultPlan::new(1, 0).assign(64).iter().all(Option::is_none));
         assert!(FaultPlan::new(1, 1000).assign(64).iter().all(Option::is_some));
-    }
-
-    #[test]
-    fn menu_respects_disabled_families() {
-        let plan = FaultPlan::inputs_only(1, 100);
-        assert!(plan
-            .menu()
-            .iter()
-            .all(|f| matches!(f, PlannedFault::Input(_))));
-        let mut none = FaultPlan::new(1, 1000);
-        none.input_faults.clear();
-        none.panic_stages.clear();
-        none.delay_stages.clear();
-        assert!(none.menu().is_empty());
-        assert!(none.assign(16).iter().all(Option::is_none));
     }
 
     #[test]

@@ -623,11 +623,9 @@ fn analyze_guarded<O: Observer>(
         }
     }
 
-    if policy.validate_inputs {
-        let violations = validate_record(tx);
-        if !violations.is_empty() {
-            return quarantine(tx, index, Fault::InvalidInput { violations }, None, 0, front);
-        }
+    let violations = validate_record(tx);
+    if !violations.is_empty() {
+        return quarantine(tx, index, Fault::InvalidInput { violations }, None, 0, front);
     }
 
     let max_attempts = if policy.retry_once { 2 } else { 1 };
@@ -1070,24 +1068,17 @@ mod tests {
     }
 
     #[test]
-    fn validation_can_be_disabled() {
+    fn unvalidated_scan_analyzes_an_overflow_amount_without_panicking() {
         let mut records = world();
         records[1].trace.transfers.first_mut().unwrap().amount = u128::MAX;
         let txs = refs(&records);
         let labels = Labels::new();
         let view = ChainView::new(&labels, &[], None);
         let detector = LeiShen::new(DetectorConfig::paper());
-        let engine = ScanEngine::new(1);
         // An overflow amount doesn't panic the pipeline — it just
-        // produces an untrusted analysis. Without validation the
-        // resilient scan analyzes it like the legacy scan would.
-        let scan = engine.scan_resilient(
-            &detector,
-            &txs,
-            &view,
-            &TagCache::new(),
-            &ResilienceConfig::new().without_validation(),
-        );
-        assert!(scan.is_fully_analyzed());
+        // produces an untrusted analysis. Only a resilience policy
+        // validates; the policy-free scan analyzes the record.
+        let analyses = ScanEngine::new(1).scan(&detector, &txs, &view);
+        assert_eq!(analyses.len(), txs.len());
     }
 }

@@ -319,6 +319,19 @@ pub struct ArmedIoFault {
 }
 
 impl ArmedIoFault {
+    /// A fault armed past the end of any run, so it never fires: a
+    /// [`FaultMedia`] carrying it only measures the clean write
+    /// timeline. Struct update from it places one trigger by hand.
+    pub const fn never() -> Self {
+        ArmedIoFault {
+            fault: IoFault::Kill,
+            at_byte: u64::MAX,
+            at_append: u64::MAX,
+            at_flush: u64::MAX,
+            flip_seed: 0,
+        }
+    }
+
     /// Resolves `plan` against a clean run's write timeline. The same
     /// `(plan, totals)` pair always arms the same trigger — the crash
     /// matrix replays exactly, like every other campaign in this repo.
@@ -648,15 +661,7 @@ mod tests {
 
     #[test]
     fn observer_mode_measures_clean_totals() {
-        // A fault armed past the end of the run never fires.
-        let armed = ArmedIoFault {
-            fault: IoFault::Kill,
-            at_byte: u64::MAX,
-            at_append: u64::MAX,
-            at_flush: u64::MAX,
-            flip_seed: 0,
-        };
-        let mut m = FaultMedia::new(MemMedia::new(), armed);
+        let mut m = FaultMedia::new(MemMedia::new(), ArmedIoFault::never());
         m.append("seg-00000001.log", b"abc").unwrap();
         m.flush("seg-00000001.log").unwrap();
         m.append("seg-00000001.log", b"de").unwrap();

@@ -216,7 +216,9 @@ impl<T> BoundedQueue<T> {
 // ---------------------------------------------------------------------------
 
 /// One arriving block: a number (for reporting; ordering is submission
-/// order) and the transactions it carries.
+/// order) and the transactions it carries. Cloning copies the
+/// references, so a producer can replay the same blocks again.
+#[derive(Clone)]
 pub struct Block<'a> {
     /// Block number, echoed into the matching [`BlockReport`].
     pub number: u64,

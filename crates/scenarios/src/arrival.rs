@@ -20,12 +20,18 @@
 //!
 //! A curve is pure data: [`ArrivalCurve::blocks`] partitions `0..n`
 //! into contiguous index ranges (every index exactly once, in order),
-//! and [`ArrivalCurve::gaps_us`] yields the inter-arrival gap before
-//! each block for benches that replay against a clock. Both are
-//! deterministic in the seed, so a CI failure reproduces from the log
-//! line.
+//! [`ArrivalCurve::cut`] turns that partition of a corpus into numbered
+//! [`Block`]s, and [`ArrivalCurve::gaps_us`] yields the inter-arrival
+//! gap before each block for benches that replay against a clock. All
+//! are deterministic in the seed, so a CI failure reproduces from the
+//! log line. Every harness that cuts a corpus into blocks cuts it here:
+//! fixed-size blocks are `steady(k)`, one block per transaction is
+//! `steady(1)`.
 
 use std::ops::Range;
+
+use ethsim::TxRecord;
+use leishen::stream::Block;
 
 /// A deterministic xorshift generator, matching the repo's convention
 /// of small seeded PRNGs over external randomness.
@@ -196,6 +202,17 @@ impl ArrivalCurve {
             }
         }
         out
+    }
+
+    /// Cuts `records` into blocks along [`ArrivalCurve::blocks`]'s
+    /// partition: block `i` is numbered `i` and carries the records of
+    /// the `i`-th range.
+    pub fn cut<'a>(&self, records: &[&'a TxRecord]) -> Vec<Block<'a>> {
+        self.blocks(records.len())
+            .into_iter()
+            .enumerate()
+            .map(|(i, range)| Block { number: i as u64, txs: records[range].to_vec() })
+            .collect()
     }
 
     /// The inter-arrival gap (microseconds) before each of `blocks`,

@@ -17,7 +17,14 @@
 //! * [`generator`] — a seeded synthetic transaction stream over the paper's
 //!   Jan 2020 – Apr 2022 timeline whose composition reproduces the shapes
 //!   of Fig. 1, Fig. 8 and Tables V–VII;
-//! * [`prices`] — attack-day USD prices for profit accounting.
+//! * [`prices`] — attack-day USD prices for profit accounting;
+//! * [`arrival`] — block-arrival curves, and the one place a corpus is
+//!   cut into stream blocks ([`ArrivalCurve::cut`]);
+//! * [`chaos`] and [`crash`] — the two fault campaigns, each planned and
+//!   graded once here: input corruption with the chaos corpus and its
+//!   verdict grader, and the crash matrix with its
+//!   crash→reopen→resume oracle. The `chaos` and `recover` bins and the
+//!   integration tests call the same graders.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

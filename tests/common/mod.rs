@@ -15,6 +15,7 @@ pub mod snapshot;
 use std::path::PathBuf;
 
 use ethsim::TxRecord;
+use leishen::trace::TxProvenance;
 use leishen::{ChainView, DetectorConfig, Labels, LeiShen, ScanEngine, SeedCase};
 use leishen_scenarios::generator::{generate, GeneratorConfig};
 use leishen_scenarios::{run_all_attacks, ExecutedAttack, GeneratedTx, World};
@@ -162,4 +163,16 @@ pub fn update_golden() -> bool {
 /// directories.
 pub fn tests_dir(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join(name)
+}
+
+/// Worker assignment and span timings vary run to run; the *content* of a
+/// trace (stage sequence, events, decision) must not. Zeroes the former
+/// so traces compare by the latter.
+pub fn sanitized(mut trace: TxProvenance) -> TxProvenance {
+    trace.worker = 0;
+    for span in &mut trace.spans {
+        span.start_ns = 0;
+        span.end_ns = 0;
+    }
+    trace
 }

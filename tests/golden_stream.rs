@@ -12,8 +12,9 @@ use std::collections::HashMap;
 
 use ethsim::TxId;
 use leishen::resilience::Verdict;
-use leishen::stream::{Block, StreamConfig, StreamService};
+use leishen::stream::{StreamConfig, StreamService};
 use leishen::Analysis;
+use leishen_scenarios::ArrivalCurve;
 
 mod common;
 use common::snapshot::{exits_for, file_name, render};
@@ -27,12 +28,7 @@ fn stream_corpus(corpus: &AttackCorpus) -> HashMap<TxId, Analysis> {
     let records = corpus.sorted_records();
 
     let service = StreamService::new(4, StreamConfig::default());
-    let blocks: Vec<Block<'_>> = records
-        .iter()
-        .enumerate()
-        .map(|(i, record)| Block { number: i as u64, txs: vec![*record] })
-        .collect();
-    let report = service.replay(&detector, &view, blocks);
+    let report = service.replay(&detector, &view, ArrivalCurve::steady(1).cut(&records));
 
     assert_eq!(
         report.transactions,
@@ -116,20 +112,9 @@ fn block_granularity_does_not_change_streamed_analyses() {
     let records = corpus.sorted_records();
 
     let service = StreamService::new(4, StreamConfig::default());
-    let fine = service.replay(
-        &detector,
-        &view,
-        records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Block { number: i as u64, txs: vec![*r] })
-            .collect::<Vec<_>>(),
-    );
-    let coarse = service.replay(
-        &detector,
-        &view,
-        vec![Block { number: 0, txs: records.clone() }],
-    );
+    let fine = service.replay(&detector, &view, ArrivalCurve::steady(1).cut(&records));
+    let coarse =
+        service.replay(&detector, &view, ArrivalCurve::steady(records.len()).cut(&records));
 
     let dump = |report: &leishen::StreamReport| -> Vec<String> {
         report.verdicts().map(|v| format!("{v:?}")).collect()

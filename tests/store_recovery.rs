@@ -175,13 +175,7 @@ proptest! {
         let fault = IoFault::ALL[fault_idx];
 
         // Measure the clean write timeline so the fault lands inside it.
-        let observer = FaultMedia::new(MemMedia::new(), ArmedIoFault {
-            fault: IoFault::Kill,
-            at_byte: u64::MAX,
-            at_append: u64::MAX,
-            at_flush: u64::MAX,
-            flip_seed: 0,
-        });
+        let observer = FaultMedia::new(MemMedia::new(), ArmedIoFault::never());
         let (mut journal, _) = VerdictJournal::open(observer, cfg, FP).expect("observer open");
         let mut base = 0u64;
         for (number, &len) in sizes.iter().enumerate() {

@@ -13,7 +13,8 @@
 //!   crash → reopen → resume re-emits nothing already durable and loses
 //!   nothing, converging the journal back to the fault-free ground
 //!   truth (the bit-flip's at-least-once re-emission being the one
-//!   documented exception);
+//!   documented exception), as graded by the `recover` campaign's own
+//!   oracle, [`leishen_scenarios::crash::run_case`];
 //! * **quarantines survive restart, reported once** — a quarantine
 //!   journaled before the crash is not re-reported by the resumed run;
 //! * **resume refuses drift** — a mismatched detector fingerprint or a
@@ -25,12 +26,14 @@ mod common;
 use ethsim::TxRecord;
 use leishen::resilience::{IoFault, IoFaultPlan, Verdict};
 use leishen::store::{
-    ArmedIoFault, DurableBlock, FaultMedia, FsyncPolicy, JournalConfig, LogConfig, MemMedia,
-    StoreError, VerdictJournal, VerdictRecord, WriteTotals,
+    ArmedIoFault, FsyncPolicy, JournalConfig, LogConfig, MemMedia, StoreError, VerdictJournal,
+    VerdictRecord,
 };
 use leishen::stream::{Block, StreamConfig, StreamService};
 use leishen::{DetectorConfig, InputFault, LeiShen, ResilienceConfig, ScanEngine, TagCache};
-use leishen_scenarios::chaos::corrupt;
+use leishen_scenarios::chaos::{corrupt, corrupt_every_fourth};
+use leishen_scenarios::crash::{clean_truth, run_case};
+use leishen_scenarios::ArrivalCurve;
 
 const BLOCK_TXS: usize = 5;
 
@@ -41,39 +44,10 @@ fn journal_config() -> JournalConfig {
     }
 }
 
-fn never_firing() -> ArmedIoFault {
-    ArmedIoFault {
-        fault: IoFault::Kill,
-        at_byte: u64::MAX,
-        at_append: u64::MAX,
-        at_flush: u64::MAX,
-        flip_seed: 0,
-    }
-}
-
-/// The 22 known attacks with every fourth record chaos-corrupted, so
-/// the durable path carries flagged, cleared, AND quarantined verdicts.
-fn corrupted_attack_records(corpus: &common::AttackCorpus) -> Vec<TxRecord> {
-    let mut owned: Vec<TxRecord> =
-        corpus.sorted_records().into_iter().cloned().collect();
-    for (i, tx) in owned.iter_mut().enumerate() {
-        if i % 4 == 0 {
-            corrupt(tx, InputFault::ALL[i / 4 % InputFault::ALL.len()]);
-        }
-    }
-    owned
-}
-
-fn cut_blocks(records: &[TxRecord]) -> Vec<Block<'_>> {
-    records
-        .chunks(BLOCK_TXS)
-        .enumerate()
-        .map(|(i, chunk)| Block { number: i as u64, txs: chunk.iter().collect() })
-        .collect()
-}
-
-fn clone_block<'a>(b: &Block<'a>) -> Block<'a> {
-    Block { number: b.number, txs: b.txs.clone() }
+/// `records` cut into blocks of [`BLOCK_TXS`].
+fn cut(records: &[TxRecord]) -> Vec<Block<'_>> {
+    let refs: Vec<&TxRecord> = records.iter().collect();
+    ArrivalCurve::steady(BLOCK_TXS).cut(&refs)
 }
 
 /// Every verdict that comes out of a durable stream is byte-identical
@@ -84,7 +58,9 @@ fn clone_block<'a>(b: &Block<'a>) -> Block<'a> {
 fn durable_stream_matches_batch_byte_for_byte() {
     let corpus = common::AttackCorpus::build();
     let view = corpus.view();
-    let records = corrupted_attack_records(&corpus);
+    // Every fourth record corrupted, so the durable path carries
+    // flagged, cleared, AND quarantined verdicts.
+    let records = corrupt_every_fourth(&corpus.sorted_records());
     let refs: Vec<&TxRecord> = records.iter().collect();
     let detector = common::paper_detector();
     let policy = ResilienceConfig::new();
@@ -98,7 +74,7 @@ fn durable_stream_matches_batch_byte_for_byte() {
     );
 
     let service = StreamService::new(2, StreamConfig::default().with_policy(policy));
-    let blocks = cut_blocks(&records);
+    let blocks = cut(&records);
     let (report, journal) = service
         .run_durable(
             &detector,
@@ -108,7 +84,7 @@ fn durable_stream_matches_batch_byte_for_byte() {
             journal_config(),
             |p| {
                 for b in &blocks {
-                    assert!(p.submit(clone_block(b)), "healthy intake accepts every block");
+                    assert!(p.submit(b.clone()), "healthy intake accepts every block");
                 }
             },
             |_| {},
@@ -155,145 +131,35 @@ fn durable_stream_matches_batch_byte_for_byte() {
     assert_eq!(reopened.blocks(), survivors.as_slice());
 }
 
-/// Ground truth for the crash cases: the journal a fault-free durable
-/// run writes, plus the write timeline faults are armed against.
-struct Truth {
-    blocks: Vec<DurableBlock>,
-    quarantines: Vec<(u64, VerdictRecord)>,
-    totals: WriteTotals,
-}
-
-fn clean_truth(
-    service: &StreamService,
-    detector: &LeiShen,
-    view: &leishen::ChainView<'_>,
-    blocks: &[Block<'_>],
-) -> Truth {
-    let mut state = MemMedia::new();
-    let (report, journal) = service
-        .run_durable(
-            detector,
-            view,
-            &TagCache::new(),
-            FaultMedia::new(&mut state, never_firing()),
-            journal_config(),
-            |p| {
-                for b in blocks {
-                    let _ = p.submit(clone_block(b));
-                }
-            },
-            |_| {},
-        )
-        .expect("observer run");
-    assert!(report.crashed.is_none());
-    let truth_blocks = journal.blocks().to_vec();
-    let quarantines = journal.quarantines();
-    let totals = journal.into_media().totals();
-    assert!(!quarantines.is_empty(), "truth must exercise the quarantine path");
-    Truth { blocks: truth_blocks, quarantines, totals }
-}
-
 /// The headline robustness contract, at integration scale: every fault
 /// kind × several seeds, each case crashing a live durable stream,
 /// reopening the survivor like a fresh process, and resuming the same
-/// replay. Exactly-once must hold across the death.
+/// replay. Exactly-once must hold across the death; the oracle is the
+/// `recover` campaign's own.
 #[test]
 fn crash_reopen_resume_is_exactly_once_for_every_fault() {
     let corpus = common::AttackCorpus::build();
     let view = corpus.view();
-    let records = corrupted_attack_records(&corpus);
-    let blocks = cut_blocks(&records);
+    // Every fourth record corrupted, so the durable path carries
+    // flagged, cleared, AND quarantined verdicts.
+    let records = corrupt_every_fourth(&corpus.sorted_records());
+    let blocks = cut(&records);
     let detector = common::paper_detector();
-    let fp = detector.config().fingerprint();
     let service = StreamService::new(2, StreamConfig::default());
-    let truth = clean_truth(&service, &detector, &view, &blocks);
+    let truth = clean_truth(&service, &detector, &view, &blocks, journal_config());
+    assert!(!truth.quarantines.is_empty(), "truth must exercise the quarantine path");
 
     for fault in IoFault::ALL {
         for seed in 0..4u64 {
-            let label = format!("{}/{seed}", fault.name());
             let armed = ArmedIoFault::arm(&IoFaultPlan::new(seed, fault), &truth.totals);
-            let mut state = MemMedia::new();
-
-            // Phase 1: stream to destruction.
-            let mut pre: Vec<u64> = Vec::new();
-            let outcome = service.run_durable(
-                &detector,
-                &view,
-                &TagCache::new(),
-                FaultMedia::new(&mut state, armed),
-                journal_config(),
-                |p| {
-                    for b in &blocks {
-                        let _ = p.submit(clone_block(b));
-                    }
-                },
-                |b| pre.push(b.number),
-            );
-            if let Ok((_, journal)) = &outcome {
-                assert!(
-                    journal.log_metrics().frames > 0 || journal.blocks().is_empty(),
-                    "{label}: run completed without touching the journal"
-                );
-            }
-            drop(outcome);
-
-            // Phase 2: a fresh process reopens the survivor — never a
-            // panic, never an error, always a prefix of the truth.
-            let (journal, _) = VerdictJournal::open(&mut state, journal_config(), fp)
-                .unwrap_or_else(|e| panic!("{label}: reopen failed: {e:?}"));
-            let prefix: Vec<u64> = journal.blocks().iter().map(|b| b.number).collect();
+            let case =
+                run_case(armed, &service, &detector, &view, &blocks, &truth, journal_config());
             assert!(
-                truth.blocks.starts_with(journal.blocks()),
-                "{label}: survivor is not a prefix of the ground truth"
+                case.recovered(),
+                "{}/{seed}: {:#?}",
+                fault.name(),
+                case.violations
             );
-
-            // Phase 3: resume the same replay to completion.
-            let mut post: Vec<u64> = Vec::new();
-            let (report, journal) = service.resume(
-                &detector,
-                &view,
-                &TagCache::new(),
-                journal,
-                |p| {
-                    for b in &blocks {
-                        let _ = p.submit(clone_block(b));
-                    }
-                },
-                |b| post.push(b.number),
-            );
-            assert!(
-                report.crashed.is_none(),
-                "{label}: resume crashed on healthy media: {:?}",
-                report.crashed
-            );
-            assert_eq!(report.skipped_blocks, prefix.len(), "{label}: skip count");
-            assert_eq!(
-                journal.blocks(),
-                truth.blocks.as_slice(),
-                "{label}: resumed journal diverges from the ground truth"
-            );
-            assert_eq!(
-                journal.quarantines(),
-                truth.quarantines,
-                "{label}: durable quarantine reports diverge"
-            );
-
-            // Exactly-once emission across { crashed run, resumed run }.
-            for t in &truth.blocks {
-                let pre_n = pre.iter().filter(|&&n| n == t.number).count();
-                let post_n = post.iter().filter(|&&n| n == t.number).count();
-                match pre_n + post_n {
-                    0 => panic!("{label}: block #{} was never emitted", t.number),
-                    1 => {}
-                    // A bit flip destroying an acknowledged frame
-                    // re-emits its block: at-least-once is the only
-                    // sound direction for at-rest corruption.
-                    2 if fault == IoFault::BitFlip
-                        && pre_n == 1
-                        && !prefix.contains(&t.number) => {}
-                    n => panic!("{label}: block #{} emitted {n} times", t.number),
-                }
-            }
         }
     }
 }
@@ -310,69 +176,21 @@ fn quarantine_survives_restart_reported_once() {
     let mut records: Vec<TxRecord> =
         corpus.sorted_records().into_iter().cloned().collect();
     corrupt(&mut records[0], InputFault::ALL[0]);
-    let blocks = cut_blocks(&records);
+    let blocks = cut(&records);
     let detector = common::paper_detector();
-    let fp = detector.config().fingerprint();
     let service = StreamService::new(2, StreamConfig::default());
-    let truth = clean_truth(&service, &detector, &view, &blocks);
+    let truth = clean_truth(&service, &detector, &view, &blocks, journal_config());
     assert_eq!(truth.quarantines.len(), 1);
 
     // Kill the media late — three quarters through the clean byte
     // timeline — so block 0 is long since durable and emitted.
-    let armed = ArmedIoFault {
-        fault: IoFault::Kill,
-        at_byte: truth.totals.bytes * 3 / 4,
-        at_append: u64::MAX,
-        at_flush: u64::MAX,
-        flip_seed: 0,
-    };
-    let mut state = MemMedia::new();
-    let mut pre: Vec<u64> = Vec::new();
-    let _ = service.run_durable(
-        &detector,
-        &view,
-        &TagCache::new(),
-        FaultMedia::new(&mut state, armed),
-        journal_config(),
-        |p| {
-            for b in &blocks {
-                let _ = p.submit(clone_block(b));
-            }
-        },
-        |b| pre.push(b.number),
-    );
-    assert!(pre.contains(&0), "block 0 must be emitted before the late crash");
-
-    let (journal, _) =
-        VerdictJournal::open(&mut state, journal_config(), fp).expect("reopen");
+    let armed = ArmedIoFault { at_byte: truth.totals.bytes * 3 / 4, ..ArmedIoFault::never() };
+    let case = run_case(armed, &service, &detector, &view, &blocks, &truth, journal_config());
+    assert!(case.recovered(), "{:#?}", case.violations);
+    assert!(case.pre.contains(&0), "block 0 must be emitted before the late crash");
     assert!(
-        journal.blocks().iter().any(|b| b.number == 0),
-        "block 0 must survive the crash"
-    );
-    assert_eq!(journal.quarantines(), truth.quarantines, "quarantine survives restart");
-
-    let mut post: Vec<u64> = Vec::new();
-    let (report, journal) = service.resume(
-        &detector,
-        &view,
-        &TagCache::new(),
-        journal,
-        |p| {
-            for b in &blocks {
-                let _ = p.submit(clone_block(b));
-            }
-        },
-        |b| post.push(b.number),
-    );
-    assert!(report.crashed.is_none());
-    assert!(
-        !post.contains(&0),
+        !case.post.contains(&0),
         "the quarantine's block must not be re-emitted after restart"
-    );
-    assert_eq!(
-        journal.quarantines(),
-        truth.quarantines,
-        "exactly one durable quarantine report after the full cycle"
     );
 }
 
@@ -385,7 +203,7 @@ fn resume_refuses_a_mismatched_detector_config() {
     let view = corpus.view();
     let records: Vec<TxRecord> =
         corpus.sorted_records().into_iter().cloned().collect();
-    let blocks = cut_blocks(&records);
+    let blocks = cut(&records);
     let service = StreamService::new(2, StreamConfig::default());
 
     let paper = common::paper_detector();
@@ -398,7 +216,7 @@ fn resume_refuses_a_mismatched_detector_config() {
             journal_config(),
             |p| {
                 for b in &blocks {
-                    let _ = p.submit(clone_block(b));
+                    let _ = p.submit(b.clone());
                 }
             },
             |_| {},
@@ -439,7 +257,7 @@ fn resume_refuses_a_diverging_replay() {
     let view = corpus.view();
     let records: Vec<TxRecord> =
         corpus.sorted_records().into_iter().cloned().collect();
-    let blocks = cut_blocks(&records);
+    let blocks = cut(&records);
     let detector = common::paper_detector();
     let service = StreamService::new(2, StreamConfig::default());
     let truth = {
@@ -452,7 +270,7 @@ fn resume_refuses_a_diverging_replay() {
                 journal_config(),
                 |p| {
                     for b in &blocks {
-                        let _ = p.submit(clone_block(b));
+                        let _ = p.submit(b.clone());
                     }
                 },
                 |_| {},
@@ -463,11 +281,8 @@ fn resume_refuses_a_diverging_replay() {
     let truth_blocks = truth.blocks().to_vec();
 
     // Replay with a different cut: block 0 now holds 3 txs, not 5.
-    let diverging: Vec<Block<'_>> = records
-        .chunks(3)
-        .enumerate()
-        .map(|(i, chunk)| Block { number: i as u64, txs: chunk.iter().collect() })
-        .collect();
+    let refs: Vec<&TxRecord> = records.iter().collect();
+    let diverging = ArrivalCurve::steady(3).cut(&refs);
     let (journal, _) = VerdictJournal::open(
         truth.into_media(),
         journal_config(),
@@ -481,7 +296,7 @@ fn resume_refuses_a_diverging_replay() {
         journal,
         |p| {
             for b in &diverging {
-                let _ = p.submit(clone_block(b));
+                let _ = p.submit(b.clone());
             }
         },
         |_| {},

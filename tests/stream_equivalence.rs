@@ -34,7 +34,7 @@ use ethsim::{
 use leishen::evade::{evade_search, EvadeConfig};
 use leishen::fuzz::{chain_name, Operator};
 use leishen::resilience::{Fault, Verdict};
-use leishen::stream::{Block, StreamConfig, StreamService};
+use leishen::stream::{StreamConfig, StreamService};
 use leishen::trace::FlightRecorder;
 use leishen::{
     ChainView, DetectorConfig, FuzzRng, InputFault, Labels, LeiShen, ResilienceConfig,
@@ -99,16 +99,6 @@ fn synthetic_corpus(
         })
         .collect();
     (labels, records, txs)
-}
-
-/// Cuts `records` into blocks along `curve`'s partition of the corpus.
-fn blocks_along<'a>(records: &[&'a TxRecord], curve: &ArrivalCurve) -> Vec<Block<'a>> {
-    curve
-        .blocks(records.len())
-        .into_iter()
-        .enumerate()
-        .map(|(i, range)| Block { number: i as u64, txs: records[range].to_vec() })
-        .collect()
 }
 
 /// Asserts the full identity: verdicts, quarantines, totals, and
@@ -180,7 +170,7 @@ fn check_roundtrip(label: &str, records: &[&TxRecord], view: &ChainView<'_>, cur
         StreamConfig::default().with_policy(policy),
     );
     let cache = TagCache::new();
-    let blocks = blocks_along(records, curve);
+    let blocks = curve.cut(records);
     let stream = service.run(
         &detector,
         view,
@@ -276,7 +266,7 @@ proptest! {
         let stream = service.replay(
             &detector,
             &view,
-            blocks_along(&records, &curve),
+            curve.cut(&records),
         );
 
         prop_assert_eq!(stream.transactions, batch.verdicts.len());

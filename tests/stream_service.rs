@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use ethsim::{TxId, TxRecord};
 use leishen::resilience::{InducedFault, Verdict};
-use leishen::stream::{Block, StreamConfig, StreamService};
+use leishen::stream::{StreamConfig, StreamService};
 use leishen::telemetry::Stage;
 use leishen::trace::{FlightRecorder, Reason};
 use leishen::{
@@ -26,17 +26,9 @@ use leishen::{
 };
 use leishen::InputFault;
 use leishen_scenarios::chaos::corrupt;
+use leishen_scenarios::ArrivalCurve;
 
 mod common;
-
-/// Cuts the corpus into fixed-size blocks of borrowed records.
-fn blocks_of<'a>(records: &[&'a TxRecord], size: usize) -> Vec<Block<'a>> {
-    records
-        .chunks(size)
-        .enumerate()
-        .map(|(i, chunk)| Block { number: i as u64, txs: chunk.to_vec() })
-        .collect()
-}
 
 #[test]
 fn full_queue_blocks_producer_without_dropping_transactions() {
@@ -54,7 +46,7 @@ fn full_queue_blocks_producer_without_dropping_transactions() {
     );
     let cache = TagCache::new();
     let emitted: Mutex<Vec<TxId>> = Mutex::new(Vec::new());
-    let blocks = blocks_of(&records, 3);
+    let blocks = ArrivalCurve::steady(3).cut(&records);
     let submitted = blocks.len();
 
     let report = service.run(
@@ -129,7 +121,7 @@ fn poisoned_block_quarantines_without_stalling_the_stream() {
         &cache,
         &recorder,
         |producer| {
-            for block in blocks_of(&records, block_size) {
+            for block in ArrivalCurve::steady(block_size).cut(&records) {
                 producer.submit(block);
             }
         },
@@ -189,7 +181,7 @@ fn induced_stage_panics_degrade_single_transactions_mid_stream() {
         &cache,
         &injector,
         |producer| {
-            for block in blocks_of(&records, 5) {
+            for block in ArrivalCurve::steady(5).cut(&records) {
                 producer.submit(block);
             }
         },
@@ -232,7 +224,7 @@ fn drain_on_shutdown_flushes_every_in_flight_tx_exactly_once() {
         &cache,
         &(),
         |producer| {
-            for block in blocks_of(&records, 1) {
+            for block in ArrivalCurve::steady(1).cut(&records) {
                 producer.submit(block);
             }
             // Producer returns immediately: shutdown begins with the

@@ -13,11 +13,11 @@
 
 use leishen::trace::export::{export_chrome_trace, export_json, export_jsonl, parse_jsonl};
 use leishen::trace::json;
-use leishen::{FlightRecorder, ScanEngine, TagCache, TxProvenance};
+use leishen::{FlightRecorder, ScanEngine, TagCache};
 use leishen_scenarios::ExecutedAttack;
 
 mod common;
-use common::AttackCorpus;
+use common::{sanitized, AttackCorpus};
 
 fn traced_corpus() -> (Vec<ExecutedAttack>, FlightRecorder, Vec<leishen::Analysis>, Vec<leishen::Analysis>) {
     let corpus = AttackCorpus::build();
@@ -86,17 +86,6 @@ fn corpus_jsonl_and_chrome_exports_are_well_formed() {
     for e in events {
         assert_eq!(e.get("ph").and_then(json::Json::as_str), Some("X"));
     }
-}
-
-/// Worker assignment and span timings vary run to run; the *content* of a
-/// trace (stage sequence, events, decision) must not.
-fn sanitized(mut trace: TxProvenance) -> TxProvenance {
-    trace.worker = 0;
-    for span in &mut trace.spans {
-        span.start_ns = 0;
-        span.end_ns = 0;
-    }
-    trace
 }
 
 #[test]
