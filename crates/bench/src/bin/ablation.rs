@@ -7,94 +7,25 @@
 //! cargo run -p leishen-bench --bin ablation
 //! ```
 
-use leishen::{DetectorConfig, LeiShen};
-use leishen_bench::{cli_f64, cli_u64, print_table, wild_world};
-use leishen_scenarios::{GeneratedTx, World};
-
-fn scan(world: &World, corpus: &[GeneratedTx], config: DetectorConfig) -> (usize, usize, usize) {
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let detector = LeiShen::new(config);
-    let mut detected = 0;
-    let mut tp = 0;
-    for gtx in corpus {
-        let record = world.chain.replay(gtx.tx).expect("recorded");
-        if detector.analyze(record, &view).is_attack() {
-            detected += 1;
-            if gtx.class.is_attack() {
-                tp += 1;
-            }
-        }
-    }
-    (detected, tp, detected - tp)
-}
+use leishen_bench::{print_table, WildStudy};
 
 fn main() {
-    let seed = cli_u64("--seed", 42);
-    let scale = cli_f64("--scale", 0.002);
-    eprintln!("generating corpus (seed={seed}, scale={scale})...");
-    let (world, corpus) = wild_world(seed, scale);
+    let study = WildStudy::from_cli("ablation");
 
     println!("§VII — threshold ablations over the wild corpus\n");
-
-    let mut rows = Vec::new();
-    let mut sweep = |label: String, config: DetectorConfig| {
-        let (d, tp, fp) = scan(&world, &corpus, config);
-        rows.push(vec![
-            label,
-            d.to_string(),
-            tp.to_string(),
-            fp.to_string(),
-            format!("{:.1}%", 100.0 * tp as f64 / d.max(1) as f64),
-        ]);
-    };
-
-    sweep("paper defaults".into(), DetectorConfig::paper());
-    for n in [3usize, 4, 6] {
-        sweep(
-            format!("KRP min buys = {n}"),
-            DetectorConfig {
-                krp_min_buys: n,
-                ..DetectorConfig::paper()
-            },
-        );
-    }
-    for v in [0.05f64, 0.15, 0.50] {
-        sweep(
-            format!("SBS min volatility = {:.0}%", v * 100.0),
-            DetectorConfig {
-                sbs_min_volatility: v,
-                ..DetectorConfig::paper()
-            },
-        );
-    }
-    for n in [2usize, 4] {
-        sweep(
-            format!("MBS min rounds = {n}"),
-            DetectorConfig {
-                mbs_min_rounds: n,
-                ..DetectorConfig::paper()
-            },
-        );
-    }
-    for t in [0.0f64, 0.01] {
-        sweep(
-            format!("merge tolerance = {:.1}%", t * 100.0),
-            DetectorConfig {
-                merge_tolerance: t,
-                ..DetectorConfig::paper()
-            },
-        );
-    }
-    sweep("relaxed (§VII example)".into(), DetectorConfig::relaxed());
-    sweep(
-        "+ experimental KDP pattern".into(),
-        DetectorConfig {
-            experimental_kdp: true,
-            ..DetectorConfig::paper()
-        },
-    );
-
+    let rows: Vec<Vec<String>> = study
+        .ablation()
+        .into_iter()
+        .map(|(label, s)| {
+            vec![
+                label,
+                s.detected.to_string(),
+                s.tp.to_string(),
+                s.fp().to_string(),
+                format!("{:.1}%", s.precision()),
+            ]
+        })
+        .collect();
     print_table(&["configuration", "detected", "TP", "FP", "precision"], &rows);
     println!("\npaper §VII: \"If we set these parameters in a more relaxed way … the");
     println!("number of detected flpAttacks would be higher. However, the false");

@@ -38,7 +38,7 @@ use leishen::{
     install_quiet_hook, ChainView, DetectorConfig, LeiShen, ResilienceConfig, ScanEngine, TagCache,
     TxExpect,
 };
-use leishen_bench::{cli_flag, cli_str, cli_u64, print_table, Checks};
+use leishen_bench::{print_table, Checks, Cli};
 use leishen_scenarios::chaos::{grade, ChaosCorpus, Grade};
 use leishen_scenarios::fuzz::seed_case;
 
@@ -70,10 +70,12 @@ impl Campaign {
 }
 
 fn main() {
-    let seed = cli_u64("--seed", 42);
-    let smoke = cli_flag("--smoke");
-    let out_path = cli_str("--out", "BENCH_chaos.json");
-    let report_dir = cli_str("--report-dir", "chaos_reports");
+    let mut cli = Cli::from_env();
+    let seed = cli.value("--seed", 42u64);
+    let smoke = cli.flag("--smoke");
+    let out_path = cli.value("--out", "BENCH_chaos.json".to_string());
+    let report_dir = cli.value("--report-dir", "chaos_reports".to_string());
+    cli.finish("chaos");
     install_quiet_hook();
 
     let rates: &[u32] = if smoke { &[0, 100] } else { &[0, 50, 100, 250] };

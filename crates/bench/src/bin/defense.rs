@@ -5,51 +5,19 @@
 //! unknown attacks have price volatility of less than 1%, whereas the
 //! threshold in Harvest Finance is 3%."
 //!
-//! Measures (1) the volatility distribution of the wild corpus's unknown
-//! attacks, and (2) which manipulation sizes a 3%-guarded vault actually
-//! blocks.
+//! Measures the volatility distribution of the wild corpus's detected
+//! unknown attacks against a 3% threshold.
 //!
 //! ```sh
 //! cargo run -p leishen-bench --bin defense
 //! ```
 
-use leishen::{DetectorConfig, LeiShen};
-use leishen_bench::{cli_f64, cli_u64, print_table, wild_world};
+use leishen_bench::{print_table, WildStudy};
 
 fn main() {
-    let seed = cli_u64("--seed", 42);
-    let scale = cli_f64("--scale", 0.002);
-    eprintln!("generating corpus (seed={seed}, scale={scale})...");
-    let (world, corpus) = wild_world(seed, scale);
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let detector = LeiShen::new(DetectorConfig::paper());
+    let buckets = WildStudy::from_cli("defense").volatility_bands();
+    let total: usize = buckets.iter().sum();
 
-    // Volatility distribution of detected unknown attacks.
-    let mut buckets = [0usize; 4]; // <1%, 1–3%, 3–100%, >100%
-    let mut total = 0usize;
-    for gtx in corpus.iter().filter(|t| t.class.is_attack() && !t.known) {
-        let record = world.chain.replay(gtx.tx).expect("recorded");
-        let analysis = detector.analyze(record, &view);
-        if !analysis.is_attack() {
-            continue;
-        }
-        let vol = leishen::pair_volatility(&analysis.trades)
-            .first()
-            .map(|v| v.volatility())
-            .unwrap_or(0.0);
-        total += 1;
-        let idx = if vol < 0.01 {
-            0
-        } else if vol < 0.03 {
-            1
-        } else if vol < 1.0 {
-            2
-        } else {
-            3
-        };
-        buckets[idx] += 1;
-    }
     println!("§VI-D — volatility distribution of {total} detected unknown attacks\n");
     print_table(
         &["volatility band", "attacks", "evades a 3% threshold?"],

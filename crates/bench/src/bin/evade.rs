@@ -31,7 +31,7 @@ use leishen::evade::{evade_search, evasion_reproducer, EvadeConfig, EvadeReport}
 use leishen::fuzz::{chain_name, reproducer_to_json, Confusion, DiffOracle, Operator, SeedCase};
 use leishen::trace::json::fmt_f64;
 use leishen::{DetectorConfig, LeiShen};
-use leishen_bench::{cli_flag, cli_str, cli_u64, print_table, Checks};
+use leishen_bench::{print_table, Checks, Cli};
 use leishen_scenarios::fuzz::seed_case;
 
 /// Evasions the search must find against the weakened detector, so that
@@ -39,10 +39,12 @@ use leishen_scenarios::fuzz::seed_case;
 const MIN_WEAKENED: usize = 5;
 
 fn main() {
-    let seed = cli_u64("--seed", 42);
-    let smoke = cli_flag("--smoke");
-    let out_path = cli_str("--out", "BENCH_evade.json");
-    let repro_dir = cli_str("--reproducers-dir", "evade_reproducers");
+    let mut cli = Cli::from_env();
+    let seed = cli.value("--seed", 42u64);
+    let smoke = cli.flag("--smoke");
+    let out_path = cli.value("--out", "BENCH_evade.json".to_string());
+    let repro_dir = cli.value("--reproducers-dir", "evade_reproducers".to_string());
+    cli.finish("evade");
 
     let config = if smoke { EvadeConfig::smoke(seed) } else { EvadeConfig::new(seed) };
 

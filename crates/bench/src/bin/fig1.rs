@@ -6,36 +6,15 @@
 //! cargo run -p leishen-bench --bin fig1 -- --scale 0.002
 //! ```
 
-use std::collections::BTreeMap;
-
-use ethsim::calendar::{Date, WeekIndex};
-use leishen::flashloan::Provider;
-use leishen_bench::{cli_f64, cli_u64, wild_world};
+use leishen_bench::WildStudy;
 
 fn main() {
-    let seed = cli_u64("--seed", 42);
-    let scale = cli_f64("--scale", 0.002);
-    eprintln!("generating corpus (seed={seed}, scale={scale})...");
-    let (world, corpus) = wild_world(seed, scale);
-
     // Weekly buckets per provider, from actual transaction timestamps and
     // LeiShen's own identification of the provider.
-    let mut weekly: BTreeMap<WeekIndex, [usize; 3]> = BTreeMap::new();
-    for gtx in &corpus {
-        let record = world.chain.replay(gtx.tx).expect("recorded");
-        let loans = leishen::identify_flash_loans(record);
-        let date = Date::from_unix(record.timestamp);
-        let slot = weekly.entry(date.week_index()).or_insert([0, 0, 0]);
-        for loan in loans {
-            match loan.provider {
-                Provider::Uniswap => slot[0] += 1,
-                Provider::Dydx => slot[1] += 1,
-                Provider::Aave => slot[2] += 1,
-            }
-        }
-    }
+    let study = WildStudy::from_cli("fig1");
+    let weekly = study.fig1();
 
-    println!("Fig. 1 — weekly flash-loan transactions per provider (scaled ×{scale})");
+    println!("Fig. 1 — weekly flash-loan transactions per provider (scaled ×{})", study.scale);
     println!("{:<12} {:>8} {:>6} {:>6}  chart (#=Uniswap, d=dYdX, a=AAVE)", "week of", "Uniswap", "dYdX", "AAVE");
     let max = weekly
         .values()

@@ -13,6 +13,7 @@ use leishen_scenarios::attacks::all_attacks;
 use leishen_scenarios::World;
 
 fn main() {
+    leishen_bench::Cli::from_env().finish("fig6");
     let mut world = World::new();
     let attack = all_attacks()[0](&mut world); // bZx-1
     let labels = world.detector_labels();

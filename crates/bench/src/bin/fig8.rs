@@ -6,44 +6,19 @@
 //! cargo run -p leishen-bench --bin fig8
 //! ```
 
-use std::collections::BTreeMap;
-
-use ethsim::calendar::MonthIndex;
-use leishen::{DetectorConfig, LeiShen};
-use leishen_bench::{cli_f64, cli_u64, wild_world};
+use leishen_bench::WildStudy;
 
 fn main() {
-    let seed = cli_u64("--seed", 42);
-    let scale = cli_f64("--scale", 0.002);
-    eprintln!("generating corpus (seed={seed}, scale={scale})...");
-    let (world, corpus) = wild_world(seed, scale);
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let detector = LeiShen::new(DetectorConfig::paper());
-
-    let mut monthly: BTreeMap<MonthIndex, usize> = BTreeMap::new();
-    for gtx in corpus.iter().filter(|t| t.class.is_attack() && !t.known) {
-        let record = world.chain.replay(gtx.tx).expect("recorded");
-        if detector.analyze(record, &view).is_attack() {
-            *monthly.entry(gtx.month).or_insert(0) += 1;
-        }
-    }
+    let fig8 = WildStudy::from_cli("fig8").fig8();
 
     println!("Fig. 8 — monthly unknown flpAttacks detected\n");
-    let max = monthly.values().max().copied().unwrap_or(1).max(1);
-    for (month, n) in &monthly {
+    let max = fig8.monthly.values().max().copied().unwrap_or(1).max(1);
+    for (month, n) in &fig8.monthly {
         println!("{:<8} {:>3}  {}", month.label(), n, "#".repeat(n * 50 / max));
     }
-    let year_sum = |y: i32| -> usize {
-        monthly
-            .iter()
-            .filter(|(m, _)| m.0.div_euclid(12) == y)
-            .map(|(_, n)| n)
-            .sum()
-    };
-    let y2020 = year_sum(2020);
-    let y2021 = year_sum(2021);
+    let y2020 = fig8.year(2020);
+    let y2021 = fig8.year(2021);
     println!("\n2020: {} attacks over 7 active months (avg {:.1}/mo; paper 6.5)", y2020, y2020 as f64 / 7.0);
     println!("2021: {} attacks (avg {:.1}/mo; paper 4.3)", y2021, y2021 as f64 / 12.0);
-    println!("total unknown attacks: {} (paper: 109)", monthly.values().sum::<usize>());
+    println!("total unknown attacks: {} (paper: 109)", fig8.total());
 }

@@ -28,7 +28,7 @@ use leishen::fuzz::{
 use leishen::trace::json::fmt_f64;
 use leishen::DetectorConfig;
 use leishen_baselines::{DefiRanger, ExplorerLeiShen, VolatilityMonitor};
-use leishen_bench::{cli_flag, cli_str, cli_u64, print_table, Checks};
+use leishen_bench::{print_table, Checks, Cli};
 use leishen_scenarios::fuzz::seed_case;
 
 /// Per-baseline agreement counters over sampled preserving mutants,
@@ -42,12 +42,14 @@ struct BaselineStats {
 }
 
 fn main() {
-    let seed = cli_u64("--seed", 42);
-    let mutants = cli_u64("--mutants", 600) as usize;
-    let smoke = cli_flag("--smoke");
-    let out_path = cli_str("--out", "BENCH_fuzz.json");
-    let violations_dir = cli_str("--violations-dir", "tests/corpus");
-    let save_samples = cli_u64("--save-samples", 0) as usize;
+    let mut cli = Cli::from_env();
+    let seed = cli.value("--seed", 42u64);
+    let mutants = cli.value("--mutants", 600usize);
+    let smoke = cli.flag("--smoke");
+    let out_path = cli.value("--out", "BENCH_fuzz.json".to_string());
+    let violations_dir = cli.value("--violations-dir", "tests/corpus".to_string());
+    let save_samples = cli.value("--save-samples", 0usize);
+    cli.finish("fuzz");
 
     println!("building seed corpus (22 attacks + benign/confuser workloads)...");
     let build_start = Instant::now();

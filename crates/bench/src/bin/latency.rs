@@ -9,12 +9,14 @@
 
 use leishen::DetectorConfig;
 use leishen_bench::{
-    cli_f64, cli_u64, known_attack_world, measure_latencies, percentile, sort_samples, wild_world,
+    known_attack_world, measure_latencies, percentile, sort_samples, wild_world, Cli,
 };
 
 fn main() {
-    let seed = cli_u64("--seed", 42);
-    let scale = cli_f64("--scale", 0.002);
+    let mut cli = Cli::from_env();
+    let seed = cli.value("--seed", 42u64);
+    let scale = cli.value("--scale", 0.002);
+    cli.finish("latency");
 
     println!("§VI-A — per-transaction detection latency\n");
 

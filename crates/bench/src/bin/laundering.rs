@@ -12,12 +12,13 @@
 use std::collections::HashSet;
 
 use leishen::forensics::{trace_exits, ExitKind};
-use leishen_bench::print_table;
+use leishen_bench::{print_table, Cli};
 use leishen_scenarios::attacks::all_attacks;
 use leishen_scenarios::laundering::launder_profit;
 use leishen_scenarios::World;
 
 fn main() {
+    Cli::from_env().finish("laundering");
     let mut world = World::new();
     let attack = all_attacks()[0](&mut world); // bZx-1
     let profit_wei = world.chain.state().eth_balance(attack.attacker);

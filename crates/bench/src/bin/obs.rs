@@ -27,9 +27,7 @@
 //! Once the JSON is written, the bin names each failed check and exits 1.
 
 use leishen::{DetectorConfig, FlightRecorder, LeiShen, RecordingSink, ScanEngine, TagCache, STAGES};
-use leishen_bench::{
-    cli_flag, cli_f64, cli_u64, corpus_records, print_table, wild_world, Checks,
-};
+use leishen_bench::{corpus_records, print_table, wild_world, Checks, Cli};
 use std::time::Instant;
 
 /// How much slower than the unobserved path the 1-in-8 sampled recording
@@ -37,10 +35,12 @@ use std::time::Instant;
 const MAX_SINK_OVERHEAD_PCT: f64 = 5.0;
 
 fn main() {
-    let smoke = cli_flag("--smoke");
-    let seed = cli_u64("--seed", 42);
-    let scale = cli_f64("--scale", if smoke { 0.0005 } else { 0.002 });
-    let reps = cli_u64("--reps", if smoke { 2 } else { 7 }).max(1) as usize;
+    let mut cli = Cli::from_env();
+    let smoke = cli.flag("--smoke");
+    let seed = cli.value("--seed", 42u64);
+    let scale = cli.value("--scale", if smoke { 0.0005 } else { 0.002 });
+    let reps = cli.value::<usize>("--reps", if smoke { 2 } else { 7 }).max(1);
+    cli.finish("obs");
     let config = DetectorConfig::paper;
 
     eprintln!("generating corpus (seed={seed}, scale={scale}, smoke={smoke})...");

@@ -42,8 +42,8 @@ use leishen::stream::{StreamConfig, StreamService};
 use leishen::trace::json::fmt_f64;
 use leishen::{DetectorConfig, LeiShen};
 use leishen_bench::{
-    cli_flag, cli_str, cli_u64, corpus_records, known_attack_world, percentile, print_table,
-    sort_samples, wild_world, Checks,
+    corpus_records, known_attack_world, percentile, print_table, sort_samples, wild_world, Checks,
+    Cli,
 };
 use leishen_scenarios::chaos::corrupt_every_fourth;
 use leishen_scenarios::crash::{clean_truth, run_case, CaseResult, Truth};
@@ -110,11 +110,13 @@ fn write_reports(dir: &str, failures: &[&(&CrashCase, CaseResult)]) {
 }
 
 fn main() {
-    let seed = cli_u64("--seed", 42);
-    let smoke = cli_flag("--smoke");
+    let mut cli = Cli::from_env();
+    let seed = cli.value("--seed", 42u64);
+    let smoke = cli.flag("--smoke");
     let (scale, seeds_per_cell) = if smoke { SMOKE } else { FULL };
-    let out_path = cli_str("--out", "BENCH_recover.json");
-    let report_dir = cli_str("--report-dir", "target/recover-reports");
+    let out_path = cli.value("--out", "BENCH_recover.json".to_string());
+    let report_dir = cli.value("--report-dir", "target/recover-reports".to_string());
+    cli.finish("recover");
 
     let started = Instant::now();
     let jconfig = JournalConfig {

@@ -35,8 +35,7 @@ use leishen::resilience::{ResilienceConfig, Verdict};
 use leishen::stream::{StreamConfig, StreamService};
 use leishen::{ChainView, DetectorConfig, LeiShen, ScanEngine, TagCache};
 use leishen_bench::{
-    cli_f64, cli_flag, cli_str, cli_u64, corpus_records, percentile, print_table, sort_samples,
-    wild_world, Checks,
+    corpus_records, percentile, print_table, sort_samples, wild_world, Checks, Cli,
 };
 use leishen_scenarios::ArrivalCurve;
 
@@ -149,12 +148,14 @@ fn equivalence(
 }
 
 fn main() {
-    let seed = cli_u64("--seed", 42);
-    let scale = cli_f64("--scale", 0.002);
-    let workers = cli_u64("--workers", 4).max(1) as usize;
-    let smoke = cli_flag("--smoke");
-    let reps = cli_u64("--reps", if smoke { 2 } else { 5 }).max(1) as usize;
-    let out_path = cli_str("--out", "BENCH_stream.json");
+    let mut cli = Cli::from_env();
+    let seed = cli.value("--seed", 42u64);
+    let scale = cli.value("--scale", 0.002);
+    let workers = cli.value("--workers", 4usize).max(1);
+    let smoke = cli.flag("--smoke");
+    let reps = cli.value::<usize>("--reps", if smoke { 2 } else { 5 }).max(1);
+    let out_path = cli.value("--out", "BENCH_stream.json".to_string());
+    cli.finish("stream");
 
     eprintln!("generating corpus (seed={seed}, scale={scale})...");
     let start = Instant::now();

@@ -6,15 +6,11 @@
 //! cargo run -p leishen-bench --bin table1
 //! ```
 
-use leishen::{DetectorConfig, LeiShen};
-use leishen_bench::{known_attack_world, print_table};
+use leishen_bench::{known_attack_world, print_table, table4_tally, Cli};
 
 fn main() {
+    Cli::from_env().finish("table1");
     let (world, attacks) = known_attack_world();
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let detector = LeiShen::new(DetectorConfig::paper());
-
     let symbol = |t: ethsim::TokenId| {
         world
             .chain
@@ -25,13 +21,9 @@ fn main() {
     };
 
     let mut rows = Vec::new();
-    for attack in &attacks {
-        let record = world.chain.replay(attack.tx).expect("recorded");
-        let analysis = detector.analyze(record, &view);
-        let trades = &analysis.trades;
-        let vols = leishen::pair_volatility(trades);
-        let vol_s = vols
-            .first()
+    for t in table4_tally(&world, &attacks) {
+        let vol_s = t
+            .top_pair
             .map(|v| {
                 format!(
                     "{}-{} ({:.3e}%)",
@@ -41,18 +33,16 @@ fn main() {
                 )
             })
             .unwrap_or_else(|| "-".into());
-        let paper: Vec<String> = attack.spec.patterns.iter().map(|p| p.to_string()).collect();
-        let mut measured: Vec<String> = analysis
-            .matches
-            .iter()
-            .map(|m| m.kind.to_string())
-            .collect();
+        let spec = &t.attack.spec;
+        let paper: Vec<String> = spec.patterns.iter().map(|p| p.to_string()).collect();
+        let mut measured: Vec<String> =
+            t.analysis.matches.iter().map(|m| m.kind.to_string()).collect();
         measured.sort();
         measured.dedup();
         rows.push(vec![
-            attack.spec.id.to_string(),
-            attack.spec.name.to_string(),
-            attack.spec.attacked_app.to_string(),
+            spec.id.to_string(),
+            spec.name.to_string(),
+            spec.attacked_app.to_string(),
             vol_s,
             if paper.is_empty() { "-".into() } else { paper.join("+") },
             if measured.is_empty() { "-".into() } else { measured.join("+") },

@@ -9,11 +9,12 @@
 
 use ethsim::TokenId;
 use leishen::flashloan::Provider;
-use leishen_bench::print_table;
+use leishen_bench::{print_table, Cli};
 use leishen_scenarios::benign::plain_loan;
 use leishen_scenarios::World;
 
 fn main() {
+    Cli::from_env().finish("table2");
     let mut world = World::new();
     println!("Table II — functions and events used by flash loan transactions\n");
 

@@ -5,9 +5,10 @@
 //! cargo run -p leishen-bench --bin table4
 //! ```
 
-use leishen_bench::{known_attack_world, print_table, table4_tally};
+use leishen_bench::{known_attack_world, print_table, table4_tally, Cli, Table4};
 
 fn main() {
+    Cli::from_env().finish("table4");
     let (world, attacks) = known_attack_world();
     let tally = table4_tally(&world, &attacks);
 
@@ -17,19 +18,18 @@ fn main() {
         let spec = &t.attack.spec;
         let agree = t.defiranger == spec.expect_defiranger
             && t.explorer == spec.expect_explorer
-            && t.leishen == spec.expect_leishen;
+            && t.leishen() == spec.expect_leishen;
         rows.push(vec![
             spec.id.to_string(),
             spec.name.to_string(),
             mark(t.defiranger),
             mark(t.explorer),
-            mark(t.leishen),
+            mark(t.leishen()),
             if agree { "ok".into() } else { "MISMATCH".into() },
         ]);
     }
-    let dr_n = tally.iter().filter(|t| t.defiranger).count();
-    let ex_n = tally.iter().filter(|t| t.explorer).count();
-    let ls_n = tally.iter().filter(|t| t.leishen).count();
+    let totals = Table4::of(&tally);
+    let (dr_n, ex_n, ls_n) = (totals.defiranger, totals.explorer, totals.leishen);
     println!("Table IV — detection results on known flpAttacks\n");
     print_table(
         &["ID", "Attack", "DeFiRanger", "Explorer+LeiShen", "LeiShen", "vs paper"],

@@ -1,65 +1,28 @@
-//! Regenerates **Table VI**: the top three most attacked applications,
-//! with attacker / attack-contract / attacked-asset counts.
+//! Regenerates **Table VI**: the most attacked applications, with
+//! attacker / attack-contract / attacked-asset counts, and the §VI-D1
+//! repeat-attack bursts.
 //!
 //! ```sh
 //! cargo run -p leishen-bench --bin table6
 //! ```
 
-use std::collections::{HashMap, HashSet};
-
-use leishen::analytics::cluster_reports;
-use leishen::{DetectorConfig, LeiShen};
-use leishen_bench::{cli_f64, cli_u64, print_table, wild_world};
+use leishen_bench::{print_table, WildStudy};
 
 fn main() {
-    let seed = cli_u64("--seed", 42);
-    let scale = cli_f64("--scale", 0.002);
-    eprintln!("generating corpus (seed={seed}, scale={scale})...");
-    let (world, corpus) = wild_world(seed, scale);
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let detector = LeiShen::new(DetectorConfig::paper());
-
-    // Count over *detected, unknown, true* attacks as §VI-D does.
-    type AppStats = (usize, HashSet<String>, HashSet<String>, HashSet<String>);
-    let mut per_app: HashMap<&str, AppStats> = HashMap::new();
-    let mut reports = Vec::new();
-    for gtx in corpus.iter().filter(|t| t.class.is_attack() && !t.known) {
-        let record = world.chain.replay(gtx.tx).expect("recorded");
-        if let Some(report) = detector.detect(record, &view, None) {
-            reports.push(report);
-        } else {
-            continue;
-        }
-        let app = gtx.attacked_app.unwrap_or("-");
-        let entry = per_app
-            .entry(app)
-            .or_insert_with(|| (0, HashSet::new(), HashSet::new(), HashSet::new()));
-        entry.0 += 1;
-        if let Some(a) = gtx.attacker {
-            entry.1.insert(a.to_string());
-        }
-        if let Some(c) = gtx.contract {
-            entry.2.insert(c.to_string());
-        }
-        if let Some(t) = gtx.asset {
-            entry.3.insert(t.to_string());
-        }
-    }
-    let mut apps: Vec<_> = per_app.into_iter().collect();
-    apps.sort_by_key(|(_, stats)| std::cmp::Reverse(stats.0));
+    let study = WildStudy::from_cli("table6");
 
     println!("Table VI — most attacked applications (unknown detected attacks)\n");
-    let rows: Vec<Vec<String>> = apps
+    let rows: Vec<Vec<String>> = study
+        .table6()
         .iter()
         .take(5)
-        .map(|(app, (n, attackers, contracts, assets))| {
+        .map(|row| {
             vec![
-                app.to_string(),
-                n.to_string(),
-                attackers.len().to_string(),
-                contracts.len().to_string(),
-                assets.len().to_string(),
+                row.app.to_string(),
+                row.attacks.to_string(),
+                row.attackers.to_string(),
+                row.contracts.to_string(),
+                row.assets.to_string(),
             ]
         })
         .collect();
@@ -72,9 +35,8 @@ fn main() {
     // §VI-D1: repeated attacks happen in short bursts ("attacker 0xF224
     // launches 25 attacks in ten minutes, attacker 0x14EC launches 11
     // attacks in 40 minutes").
-    let clusters = cluster_reports(&reports, 24 * 3600);
     println!("\nrepeat-attack bursts (same initiator, <24h apart):");
-    for c in clusters.iter().take(3) {
+    for c in study.bursts().iter().take(3) {
         println!(
             "  {}: {} attacks within {} minutes",
             c.initiator.short(),

@@ -5,59 +5,20 @@
 //! cargo run -p leishen-bench --bin table7
 //! ```
 
-use leishen::{DetectorConfig, LeiShen};
-use leishen_bench::{cli_f64, cli_u64, print_table, wild_world};
+use leishen_bench::{print_table, WildStudy};
 
 fn main() {
-    let seed = cli_u64("--seed", 42);
-    let scale = cli_f64("--scale", 0.002);
-    eprintln!("generating corpus (seed={seed}, scale={scale})...");
-    let (world, corpus) = wild_world(seed, scale);
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let detector = LeiShen::new(DetectorConfig::paper());
+    let table = WildStudy::from_cli("table7").table7();
 
-    // (yield %, profit $) per detected true attack.
-    let mut samples: Vec<(f64, f64)> = Vec::new();
-    for gtx in corpus.iter().filter(|t| t.class.is_attack()) {
-        let record = world.chain.replay(gtx.tx).expect("recorded");
-        let Some(report) = detector.detect(record, &view, Some(&world.prices)) else {
-            continue;
-        };
-        let profit = report.profit_usd.unwrap_or(0.0);
-        let yield_pct = if gtx.borrowed_usd > 0.0 {
-            profit / gtx.borrowed_usd * 100.0
-        } else {
-            0.0
-        };
-        samples.push((yield_pct, profit));
-    }
-    samples.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let n = samples.len();
-    let mean_y: f64 = samples.iter().map(|s| s.0).sum::<f64>() / n.max(1) as f64;
-    let mean_p: f64 = samples.iter().map(|s| s.1).sum::<f64>() / n.max(1) as f64;
-    let top = |frac: f64| {
-        let k = ((n as f64 * frac).ceil() as usize).max(1);
-        let ys: f64 = samples[..k].iter().map(|s| s.0).sum::<f64>() / k as f64;
-        let ps: f64 = samples[..k].iter().map(|s| s.1).sum::<f64>() / k as f64;
-        (ys, ps)
-    };
-    let (t10y, t10p) = top(0.10);
-    let (t20y, t20p) = top(0.20);
-    let min = samples.last().copied().unwrap_or((0.0, 0.0));
-    let max = samples.first().copied().unwrap_or((0.0, 0.0));
-
+    let n = table.samples.len();
     println!("Table VII — attack profit analysis over {n} detected attacks\n");
-    let fmt = |y: f64, p: f64| vec![format!("{y:.3}%"), format!("{p:.0}")];
-    let rows = vec![
-        [vec!["Mean".to_string()], fmt(mean_y, mean_p)].concat(),
-        [vec!["Min.".to_string()], fmt(min.0, min.1)].concat(),
-        [vec!["Max.".to_string()], fmt(max.0, max.1)].concat(),
-        [vec!["TOP 10% in AVG".to_string()], fmt(t10y, t10p)].concat(),
-        [vec!["TOP 20% in AVG".to_string()], fmt(t20y, t20p)].concat(),
-    ];
+    let rows: Vec<Vec<String>> = table
+        .rows()
+        .iter()
+        .map(|(label, y, p)| vec![label.to_string(), format!("{y:.3}%"), format!("{p:.0}")])
+        .collect();
     print_table(&["", "Yield rate", "Net profit ($)"], &rows);
-    let total: f64 = samples.iter().map(|s| s.1).sum();
+    let total: f64 = table.samples.iter().map(|s| s.1).sum();
     println!("\ntotal profit: ${:.1}M (paper: over $21.8M)", total / 1e6);
     println!("paper row values: mean 0.3%/$3,509; min 0.003%/$23; max 2.2e5%/$6,102,198;");
     println!("top-10% $257,078; top-20% $135,522 (our distribution pins min/max and");

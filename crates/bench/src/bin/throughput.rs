@@ -30,9 +30,9 @@
 
 use leishen::{DetectorConfig, ScanEngine, TagCache};
 use leishen_bench::{
-    cli_f64, cli_str, cli_u64, corpus_records, measure_latencies, measure_latencies_cached,
-    measure_serial_throughput, measure_throughput, percentile, print_table, sort_samples,
-    wild_world, Checks, ThroughputRun,
+    corpus_records, measure_latencies, measure_latencies_cached, measure_serial_throughput,
+    measure_throughput, percentile, print_table, sort_samples, wild_world, Checks, Cli,
+    ThroughputRun,
 };
 
 /// Keeps the best (highest tx/s) run seen so far. The corpus takes only
@@ -82,11 +82,13 @@ fn parse_workers(spec: &str) -> Vec<usize> {
 }
 
 fn main() {
-    let seed = cli_u64("--seed", 42);
-    let scale = cli_f64("--scale", 0.002);
-    let trials = cli_u64("--reps", 7).max(1) as usize;
+    let mut cli = Cli::from_env();
+    let seed = cli.value("--seed", 42u64);
+    let scale = cli.value("--scale", 0.002);
+    let trials = cli.value("--reps", 7usize).max(1);
     let warmup = 1usize;
-    let worker_counts = parse_workers(&cli_str("--workers", "1,2,4,8"));
+    let worker_counts = parse_workers(&cli.value("--workers", "1,2,4,8".to_string()));
+    cli.finish("throughput");
     let config = DetectorConfig::paper;
 
     eprintln!("generating corpus (seed={seed}, scale={scale})...");

@@ -40,7 +40,7 @@ use leishen::{
     aggregator_heuristic, trace_exits, DetectorConfig, FlightRecorder, LeiShen, ScanEngine,
     TagCache,
 };
-use leishen_bench::{cli_flag, corpus_records, known_attack_world, print_table, Checks};
+use leishen_bench::{corpus_records, known_attack_world, print_table, Checks, Cli};
 use leishen_scenarios::generator::AGGREGATOR_APPS;
 use leishen_scenarios::laundering::launder_profit;
 
@@ -65,7 +65,9 @@ fn esc(s: &str) -> String {
 }
 
 fn main() {
-    let smoke = cli_flag("--smoke");
+    let mut cli = Cli::from_env();
+    let smoke = cli.flag("--smoke");
+    cli.finish("trace");
     let (mut world, attacks) = known_attack_world();
     assert_eq!(attacks.len(), 22, "the Table I corpus has 22 attacks");
     let last_attack_tx = attacks.iter().map(|a| a.tx.0).max().unwrap_or(0);

@@ -10,30 +10,35 @@
 //! | `table1`  | the 22 known attacks with volatility + patterns |
 //! | `table2`  | flash-loan identification signatures |
 //! | `table4`  | known-attack detection across the three detectors |
-//! | `table5`  | wild-scan detections, TP/FP and precision per pattern |
-//! | `table6`  | top-3 most attacked applications |
+//! | `table5`  | wild-scan detections, TP/FP and precision per pattern, and the §VI-C heuristic |
+//! | `table6`  | most attacked applications, and the §VI-D1 repeat-attack bursts |
 //! | `table7`  | attack profit statistics |
 //! | `fig6`    | bZx-1 app-level transfer construction |
 //! | `fig8`    | monthly unknown flpAttacks |
+//! | `defense` | §VI-D volatility bands against a 3% threshold defense |
 //! | `latency` | per-transaction detection latency (§VI-A) |
 //! | `ablation`| threshold sweeps (§VII) |
+//! | `scorecard` | every headline number next to the paper's; exits 1 unless each matches |
 //!
-//! `table4`, `table5` and `scorecard` print from one [`table4_tally`] and
-//! one [`table5_tally`]. The campaign bins (`fuzz`, `chaos`, `recover`,
-//! `evade`, `stream`, `obs`, `throughput`, `trace`) judge their own runs
-//! through [`Checks`]; `bench_diff` judges only drift from a committed
-//! baseline.
+//! Each paper result has one producer: Tables I and IV come from
+//! [`table4_tally`], and every wild-corpus result is a function of one
+//! [`WildStudy`], which analyzes each transaction once. The paper bins,
+//! `scorecard` and the integration tests all read those functions. The
+//! campaign bins (`fuzz`, `chaos`, `recover`, `evade`, `stream`, `obs`,
+//! `throughput`, `trace`) judge their own runs through [`Checks`];
+//! `bench_diff` judges only drift from a committed baseline. Every bin
+//! but `bench_diff` reads its command line through [`Cli`], which exits 2
+//! on an unknown argument or a malformed value.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use ethsim::TxRecord;
-use leishen::heuristics::initiated_by_aggregator;
-use leishen::patterns::PatternKind;
 use leishen::{ChainView, DetectorConfig, LeiShen, ScanEngine, TagCache};
-use leishen_baselines::{DefiRanger, ExplorerLeiShen};
-use leishen_scenarios::generator::{generate, GeneratorConfig, TxClass, AGGREGATOR_APPS};
+use leishen_scenarios::generator::{generate, GeneratorConfig};
 use leishen_scenarios::{run_all_attacks, ExecutedAttack, GeneratedTx, World};
+
+mod paper;
+pub use paper::{table4_tally, AppRow, AttackFlags, Fig8, Table4, Table5, Table7, WildStudy};
 
 /// A world with all 22 known attacks executed.
 pub fn known_attack_world() -> (World, Vec<ExecutedAttack>) {
@@ -56,39 +61,77 @@ pub fn wild_world(seed: u64, scale: f64) -> (World, Vec<GeneratedTx>) {
     (world, corpus)
 }
 
-/// Parses `--seed N` / `--scale F` style CLI options with defaults.
-pub fn cli_f64(flag: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// A bin's command line. The bin reads each `--name value` option
+/// through [`Cli::value`] and each bare `--name` switch through
+/// [`Cli::flag`], then calls [`Cli::finish`], which refuses a value that
+/// does not parse and any argument no read consumed.
+pub struct Cli {
+    args: Vec<String>,
+    used: Vec<bool>,
+    errors: Vec<String>,
 }
 
-/// Parses a `--flag N` u64 option.
-pub fn cli_u64(flag: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+impl Cli {
+    /// The process's arguments, after the program name.
+    pub fn from_env() -> Cli {
+        Cli::new(std::env::args().skip(1))
+    }
 
-/// Parses a `--flag value` string option.
-pub fn cli_str(flag: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
-}
+    /// A command line of `args`.
+    fn new(args: impl IntoIterator<Item = String>) -> Cli {
+        let args: Vec<String> = args.into_iter().collect();
+        Cli { used: vec![false; args.len()], args, errors: Vec::new() }
+    }
 
-/// Whether a bare `--flag` is present.
-pub fn cli_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
+    /// Consumes `flag` and returns its position.
+    fn take(&mut self, flag: &str) -> Option<usize> {
+        let i = self.args.iter().position(|a| a == flag)?;
+        self.used[i] = true;
+        Some(i)
+    }
+
+    /// The value after `flag`, or `default` when `flag` is absent.
+    pub fn value<T: std::str::FromStr>(&mut self, flag: &str, default: T) -> T {
+        let Some(i) = self.take(flag) else { return default };
+        let Some(value) = self.args.get(i + 1) else {
+            self.errors.push(format!("{flag} needs a value"));
+            return default;
+        };
+        self.used[i + 1] = true;
+        value.parse().unwrap_or_else(|_| {
+            self.errors.push(format!("{flag}: malformed value `{value}`"));
+            default
+        })
+    }
+
+    /// Whether the bare switch `flag` is present.
+    pub fn flag(&mut self, flag: &str) -> bool {
+        self.take(flag).is_some()
+    }
+
+    /// Every refused argument, one line each: malformed or missing
+    /// values, then arguments no read consumed.
+    fn errors(mut self) -> Vec<String> {
+        for (arg, used) in self.args.iter().zip(&self.used) {
+            if !used {
+                self.errors.push(format!("unexpected argument `{arg}`"));
+            }
+        }
+        self.errors
+    }
+
+    /// Prints `<bin>: <error>` for each refused argument and exits 2;
+    /// returns when there is none.
+    pub fn finish(self, bin: &str) {
+        let errors = self.errors();
+        if errors.is_empty() {
+            return;
+        }
+        for error in &errors {
+            eprintln!("{bin}: {error}");
+        }
+        std::process::exit(2);
+    }
 }
 
 /// Prints an aligned text table.
@@ -298,119 +341,6 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// One known attack under the three Table IV detectors.
-pub struct AttackFlags<'a> {
-    /// The attack, with its Table I/IV expectations.
-    pub attack: &'a ExecutedAttack,
-    /// DeFiRanger flagged it.
-    pub defiranger: bool,
-    /// Explorer+LeiShen flagged it.
-    pub explorer: bool,
-    /// LeiShen flagged it.
-    pub leishen: bool,
-    /// The pattern kinds LeiShen matched.
-    pub kinds: Vec<PatternKind>,
-}
-
-/// The Table IV tally: every known attack under DeFiRanger,
-/// Explorer+LeiShen and LeiShen (paper config), in Table I order.
-pub fn table4_tally<'a>(world: &World, attacks: &'a [ExecutedAttack]) -> Vec<AttackFlags<'a>> {
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let leishen = LeiShen::new(DetectorConfig::paper());
-    let ranger = DefiRanger::new();
-    let explorer = ExplorerLeiShen::new(DetectorConfig::paper());
-    attacks
-        .iter()
-        .map(|attack| {
-            let record = world.chain.replay(attack.tx).expect("recorded");
-            let analysis = leishen.analyze(record, &view);
-            AttackFlags {
-                attack,
-                defiranger: ranger.is_attack(record),
-                explorer: explorer.is_attack(record),
-                leishen: analysis.is_attack(),
-                kinds: analysis.matches.iter().map(|m| m.kind).collect(),
-            }
-        })
-        .collect()
-}
-
-/// One wild transaction LeiShen (paper config) flagged.
-pub struct Detection {
-    /// The matched pattern kinds, sorted and deduplicated.
-    pub kinds: Vec<PatternKind>,
-    /// The transaction's ground truth.
-    pub class: TxClass,
-    /// An aggregator initiated it, so the §VI-C heuristic drops it.
-    pub by_aggregator: bool,
-}
-
-/// The Table V tally: every detection of a wild-corpus scan, in corpus
-/// order.
-pub fn table5_tally(world: &World, corpus: &[GeneratedTx]) -> Vec<Detection> {
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let detector = LeiShen::new(DetectorConfig::paper());
-    let mut detections = Vec::new();
-    for gtx in corpus {
-        let record = world.chain.replay(gtx.tx).expect("recorded");
-        let analysis = detector.analyze(record, &view);
-        if !analysis.is_attack() {
-            continue;
-        }
-        let mut kinds: Vec<PatternKind> = analysis.matches.iter().map(|m| m.kind).collect();
-        kinds.sort();
-        kinds.dedup();
-        detections.push(Detection {
-            kinds,
-            class: gtx.class,
-            by_aggregator: initiated_by_aggregator(
-                record.from,
-                AGGREGATOR_APPS,
-                view.labels(),
-                view.creations(),
-            ),
-        });
-    }
-    detections
-}
-
-/// Table V's counts over a set of detections.
-pub struct Table5 {
-    /// Transactions detected.
-    pub detected: usize,
-    /// Detected transactions that are true attacks.
-    pub tp: usize,
-    per: HashMap<PatternKind, (usize, usize)>,
-}
-
-impl Table5 {
-    /// Counts `detections`: per pattern, a hit is a TP when ground truth
-    /// says that pattern is real.
-    pub fn of<'a>(detections: impl IntoIterator<Item = &'a Detection>) -> Table5 {
-        let mut t = Table5 { detected: 0, tp: 0, per: HashMap::new() };
-        for d in detections {
-            t.detected += 1;
-            t.tp += d.class.is_attack() as usize;
-            for &kind in &d.kinds {
-                let slot = t.per.entry(kind).or_insert((0, 0));
-                if d.class.pattern_is_true(kind) {
-                    slot.0 += 1;
-                } else {
-                    slot.1 += 1;
-                }
-            }
-        }
-        t
-    }
-
-    /// `(TP, FP)` of one pattern.
-    pub fn pattern(&self, kind: PatternKind) -> (usize, usize) {
-        self.per.get(&kind).copied().unwrap_or((0, 0))
-    }
-}
-
 /// The absolute checks a bin makes on its own run. A bin writes its
 /// report first and then calls [`Checks::finish`], which names every
 /// failed check and exits 1.
@@ -491,10 +421,34 @@ mod tests {
         assert_eq!(percentile(&v, 40.0), 1.0);
     }
 
+    fn cli(args: &[&str]) -> Cli {
+        Cli::new(args.iter().map(|a| a.to_string()))
+    }
+
     #[test]
     fn cli_defaults() {
-        assert_eq!(cli_f64("--nope", 1.5), 1.5);
-        assert_eq!(cli_u64("--nope", 7), 7);
-        assert!(!cli_flag("--definitely-not-set"));
+        let mut cli = cli(&[]);
+        assert_eq!(cli.value("--nope", 1.5), 1.5);
+        assert_eq!(cli.value("--nope", 7u64), 7);
+        assert!(!cli.flag("--definitely-not-set"));
+        assert!(cli.errors().is_empty());
+    }
+
+    #[test]
+    fn cli_refuses_unknown_flags_and_malformed_values() {
+        let mut cli = cli(&["--smoke", "--out", "x", "--sed", "7", "--scale", "0.002x", "--seed"]);
+        assert!(cli.flag("--smoke"));
+        assert_eq!(cli.value("--out", String::new()), "x");
+        assert_eq!(cli.value("--scale", 0.5), 0.5);
+        assert_eq!(cli.value("--seed", 42u64), 42);
+        assert_eq!(
+            cli.errors(),
+            [
+                "--scale: malformed value `0.002x`",
+                "--seed needs a value",
+                "unexpected argument `--sed`",
+                "unexpected argument `7`",
+            ]
+        );
     }
 }

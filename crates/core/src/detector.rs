@@ -438,7 +438,18 @@ impl LeiShen {
         view: &ChainView<'_>,
         prices: Option<&UsdPriceTable>,
     ) -> Option<AttackReport> {
-        let analysis = self.analyze(tx, view);
+        self.report(tx, view, &self.analyze(tx, view), prices)
+    }
+
+    /// [`LeiShen::detect`] over an analysis already made of `tx`, so a
+    /// caller that keeps its analyses need not analyze twice.
+    pub fn report(
+        &self,
+        tx: &TxRecord,
+        view: &ChainView<'_>,
+        analysis: &Analysis,
+        prices: Option<&UsdPriceTable>,
+    ) -> Option<AttackReport> {
         if !analysis.is_attack() {
             return None;
         }
@@ -446,7 +457,7 @@ impl LeiShen {
         let profit_usd = prices.map(|p| {
             // Cold path: one transaction per call, so the resolver stays
             // dynamic (monomorphizing it would only bloat the binary).
-            let accounts = borrower_accounts(tx, &analysis, &mut |addr| {
+            let accounts = borrower_accounts(tx, analysis, &mut |addr| {
                 tag_of(addr, view.labels, &view.creations)
             });
             profit_of(&tx.trace.transfers, &accounts, p)
@@ -456,8 +467,8 @@ impl LeiShen {
             block: tx.block,
             timestamp: tx.timestamp,
             initiator: tx.from,
-            flash_loans: analysis.flash_loans,
-            patterns: analysis.matches,
+            flash_loans: analysis.flash_loans.clone(),
+            patterns: analysis.matches.clone(),
             volatilities,
             profit_usd,
             exits: Vec::new(),

@@ -9,8 +9,6 @@
 use ethsim::{Address, CreationIndex};
 
 use crate::labels::Labels;
-use crate::patterns::PatternKind;
-use crate::report::AttackReport;
 use crate::tagging::tag_of;
 
 /// Whether `initiator` belongs to one of the named aggregator applications
@@ -59,72 +57,10 @@ pub fn aggregator_heuristic(
     }
 }
 
-/// Applies the paper's heuristic verbatim: "a transaction initiated from
-/// yield aggregators is not an attack" — any report whose initiator is an
-/// aggregator is dropped, whatever patterns it matched. This is what lifts
-/// the MBS precision from 56.1% to 80% in §VI-C.
-pub fn filter_aggregator_initiated(
-    reports: Vec<AttackReport>,
-    aggregator_apps: &[&str],
-    labels: &Labels,
-    creations: &CreationIndex,
-) -> Vec<AttackReport> {
-    reports
-        .into_iter()
-        .filter(|r| !initiated_by_aggregator(r.initiator, aggregator_apps, labels, creations))
-        .collect()
-}
-
-/// A conservative variant that only drops reports whose **sole** matched
-/// pattern is MBS — the pattern the aggregator strategies mimic. Kept for
-/// the ablation bench (it trades fewer dropped true positives for a lower
-/// MBS-precision gain).
-pub fn filter_aggregator_initiated_mbs_only(
-    reports: Vec<AttackReport>,
-    aggregator_apps: &[&str],
-    labels: &Labels,
-    creations: &CreationIndex,
-) -> Vec<AttackReport> {
-    reports
-        .into_iter()
-        .filter(|r| {
-            let mbs_only = r.pattern_kinds() == vec![PatternKind::Mbs];
-            !(mbs_only
-                && initiated_by_aggregator(r.initiator, aggregator_apps, labels, creations))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns::PatternMatch;
-    use ethsim::{CreationRecord, TokenId, TxId};
-
-    fn pm(kind: PatternKind) -> PatternMatch {
-        PatternMatch {
-            kind,
-            target_token: TokenId::from_index(1),
-            quote_token: TokenId::ETH,
-            trade_seqs: vec![],
-            volatility: 0.1,
-            counterparty: "V".into(),
-        }
-    }
-
-    fn report(initiator: Address, kinds: &[PatternKind]) -> AttackReport {
-        AttackReport {
-            tx: TxId(0),
-            block: 0,
-            timestamp: 0,
-            initiator,
-            flash_loans: vec![],
-            patterns: kinds.iter().map(|k| pm(*k)).collect(),
-            volatilities: vec![],
-            profit_usd: None,
-            exits: vec![],
-        }
-    }
+    use ethsim::CreationRecord;
 
     #[test]
     fn direct_label_detection() {
@@ -168,42 +104,5 @@ mod tests {
         let passed = aggregator_heuristic(user, &["Yearn"], &labels, &idx);
         assert!(passed.passed);
         assert!(passed.detail.contains(&user.to_string()));
-    }
-
-    #[test]
-    fn filter_drops_all_aggregator_initiated_reports() {
-        let agg = Address::from_u64(1);
-        let attacker = Address::from_u64(2);
-        let mut labels = Labels::new();
-        labels.set(agg, "Yearn");
-        let idx = CreationIndex::new(&[]);
-        let reports = vec![
-            report(agg, &[PatternKind::Mbs]),                   // dropped
-            report(attacker, &[PatternKind::Mbs]),              // kept
-            report(agg, &[PatternKind::Mbs, PatternKind::Sbs]), // dropped
-            report(agg, &[PatternKind::Krp]),                   // dropped
-        ];
-        let kept = filter_aggregator_initiated(reports, &["Yearn"], &labels, &idx);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].initiator, attacker);
-    }
-
-    #[test]
-    fn mbs_only_variant_keeps_multi_pattern_reports() {
-        let agg = Address::from_u64(1);
-        let attacker = Address::from_u64(2);
-        let mut labels = Labels::new();
-        labels.set(agg, "Yearn");
-        let idx = CreationIndex::new(&[]);
-        let reports = vec![
-            report(agg, &[PatternKind::Mbs]),                   // dropped
-            report(attacker, &[PatternKind::Mbs]),              // kept
-            report(agg, &[PatternKind::Mbs, PatternKind::Sbs]), // kept (not MBS-only)
-            report(agg, &[PatternKind::Krp]),                   // kept
-        ];
-        let kept = filter_aggregator_initiated_mbs_only(reports, &["Yearn"], &labels, &idx);
-        assert_eq!(kept.len(), 3);
-        assert!(kept.iter().all(|r| !(r.initiator == agg
-            && r.pattern_kinds() == vec![PatternKind::Mbs])));
     }
 }

@@ -80,9 +80,7 @@ pub use forensics::{trace_exits, ExitKind, ExitReport};
 pub use fuzz::{
     chain_name, CaseVerdict, DiffOracle, FuzzCase, FuzzRng, Mutant, SeedCase, TxExpect,
 };
-pub use heuristics::{
-    aggregator_heuristic, filter_aggregator_initiated, initiated_by_aggregator, HeuristicOutcome,
-};
+pub use heuristics::{aggregator_heuristic, initiated_by_aggregator, HeuristicOutcome};
 pub use labels::Labels;
 pub use patterns::{PatternKind, PatternMatch, PatternScratch};
 pub use report::AttackReport;

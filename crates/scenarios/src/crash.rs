@@ -204,13 +204,15 @@ pub fn diverging_prefix(truth: &[DurableBlock], reopened: &[DurableBlock]) -> Ve
         .collect()
 }
 
-/// The emission ledger of one cycle: verdict counts and violations.
+/// The emission and journal ledger of one cycle: verdict counts and
+/// violations.
 #[derive(Debug, Default, PartialEq)]
 pub struct Emissions {
-    /// Verdicts of blocks emitted more than once (bit-flip re-emission
-    /// aside).
+    /// Verdicts of blocks emitted or journaled more than once (bit-flip
+    /// re-emission aside).
     pub duplicate_verdicts: u64,
-    /// Verdicts of blocks neither run emitted.
+    /// Verdicts of blocks neither run emitted, or the resumed journal
+    /// lacks.
     pub lost_verdicts: u64,
     /// Verdicts a bit flip forced to be emitted twice.
     pub reemitted_after_corruption: u64,
@@ -218,28 +220,30 @@ pub struct Emissions {
     pub violations: Vec<String>,
 }
 
-/// Exactly-once emission across process death: each truth block must
-/// surface exactly once over { crashed run (`pre`), resumed run
-/// (`post`) }. A block the crashed run emitted, that a bit flip then
-/// cut from the `durable` prefix and the resumed run emitted again, is
-/// the sound at-least-once degradation and is tallied apart.
+/// Exactly-once across process death: each truth block must surface
+/// exactly once over { crashed run (`pre`), resumed run (`post`) } and
+/// appear exactly once in the resumed `journal`. A block the crashed
+/// run emitted, that a bit flip then cut from the `durable` prefix and
+/// the resumed run emitted again, is the sound at-least-once
+/// degradation and is tallied apart. Each block counts its verdicts at
+/// most once as lost, and `copies - 1` times as duplicated, where
+/// `copies` is the larger of its emission and journal counts.
 pub fn account_emissions(
     truth: &[DurableBlock],
     fault: IoFault,
     durable: &[u64],
+    journal: &[u64],
     pre: &[u64],
     post: &[u64],
 ) -> Emissions {
+    let count = |blocks: &[u64], number: u64| blocks.iter().filter(|&&n| n == number).count();
     let mut out = Emissions::default();
     for t in truth {
         let verdicts = t.verdicts.len() as u64;
-        let pre_n = pre.iter().filter(|&&n| n == t.number).count();
-        let post_n = post.iter().filter(|&&n| n == t.number).count();
-        match pre_n + post_n {
-            0 => {
-                out.lost_verdicts += verdicts;
-                out.violations.push(format!("block #{} was never emitted", t.number));
-            }
+        let (pre_n, post_n) = (count(pre, t.number), count(post, t.number));
+        let mut emitted = pre_n + post_n;
+        match emitted {
+            0 => out.violations.push(format!("block #{} was never emitted", t.number)),
             1 => {}
             2 if fault == IoFault::BitFlip
                 && pre_n == 1
@@ -247,12 +251,15 @@ pub fn account_emissions(
                 && !durable.contains(&t.number) =>
             {
                 out.reemitted_after_corruption += verdicts;
+                emitted = 1;
             }
-            n => {
-                out.duplicate_verdicts += (n as u64 - 1) * verdicts;
-                out.violations.push(format!("block #{} was emitted {n} times", t.number));
-            }
+            n => out.violations.push(format!("block #{} was emitted {n} times", t.number)),
         }
+        let journaled = count(journal, t.number);
+        if emitted == 0 || journaled == 0 {
+            out.lost_verdicts += verdicts;
+        }
+        out.duplicate_verdicts += emitted.max(journaled).saturating_sub(1) as u64 * verdicts;
     }
     out
 }
@@ -363,26 +370,17 @@ pub fn run_case<'a>(
     if journal.quarantines() != truth.quarantines {
         violations.push("durable quarantine reports diverge from the ground truth".to_string());
     }
-    let mut duplicate_verdicts = 0u64;
-    let mut lost_verdicts = 0u64;
-    for t in &truth.blocks {
-        let verdicts = t.verdicts.len() as u64;
-        match journal.blocks().iter().filter(|b| b.number == t.number).count() {
-            0 => lost_verdicts += verdicts,
-            1 => {}
-            n => duplicate_verdicts += (n as u64 - 1) * verdicts,
-        }
-    }
-
-    let emissions = account_emissions(&truth.blocks, armed.fault, &durable, &pre, &post);
+    let journaled: Vec<u64> = journal.blocks().iter().map(|b| b.number).collect();
+    let emissions =
+        account_emissions(&truth.blocks, armed.fault, &durable, &journaled, &pre, &post);
     violations.extend(emissions.violations);
     CaseResult {
         armed,
         crash_code,
         truncated,
         reopen_us,
-        duplicate_verdicts: duplicate_verdicts + emissions.duplicate_verdicts,
-        lost_verdicts: lost_verdicts + emissions.lost_verdicts,
+        duplicate_verdicts: emissions.duplicate_verdicts,
+        lost_verdicts: emissions.lost_verdicts,
         reemitted_after_corruption: emissions.reemitted_after_corruption,
         pre,
         post,
@@ -446,9 +444,12 @@ mod tests {
             .collect()
     }
 
+    /// A resumed journal holding each truth block once.
+    const JOURNALED: &[u64] = &[0, 1, 2];
+
     #[test]
     fn exactly_once_emission_has_no_violation() {
-        let ledger = account_emissions(&truth(), IoFault::Kill, &[0], &[0], &[1, 2]);
+        let ledger = account_emissions(&truth(), IoFault::Kill, &[0], JOURNALED, &[0], &[1, 2]);
         assert_eq!(ledger, Emissions::default());
     }
 
@@ -456,7 +457,7 @@ mod tests {
     fn a_block_emitted_before_the_crash_and_after_resume_is_duplicated() {
         // Block 1 was acknowledged, then lost from the durable prefix
         // by a fault that is not a bit flip: the resumed run re-emits it.
-        let ledger = account_emissions(&truth(), IoFault::Kill, &[0], &[0, 1], &[1, 2]);
+        let ledger = account_emissions(&truth(), IoFault::Kill, &[0], JOURNALED, &[0, 1], &[1, 2]);
         assert_eq!(ledger.duplicate_verdicts, 2);
         assert_eq!(ledger.reemitted_after_corruption, 0);
         assert_eq!(ledger.violations, ["block #1 was emitted 2 times"]);
@@ -464,20 +465,45 @@ mod tests {
 
     #[test]
     fn a_bit_flip_re_emission_is_tallied_apart() {
-        let ledger = account_emissions(&truth(), IoFault::BitFlip, &[0], &[0, 1], &[1, 2]);
+        let ledger =
+            account_emissions(&truth(), IoFault::BitFlip, &[0], JOURNALED, &[0, 1], &[1, 2]);
         assert_eq!(ledger.reemitted_after_corruption, 2);
         assert_eq!(ledger.duplicate_verdicts, 0);
         assert!(ledger.violations.is_empty());
         // …but not when the re-emitted block was still durable.
-        let ledger = account_emissions(&truth(), IoFault::BitFlip, &[0, 1], &[0, 1], &[1, 2]);
+        let ledger =
+            account_emissions(&truth(), IoFault::BitFlip, &[0, 1], JOURNALED, &[0, 1], &[1, 2]);
         assert_eq!(ledger.violations, ["block #1 was emitted 2 times"]);
     }
 
     #[test]
     fn a_truth_block_neither_run_emitted_is_lost() {
-        let ledger = account_emissions(&truth(), IoFault::TornFrame, &[0], &[0], &[2]);
+        let ledger = account_emissions(&truth(), IoFault::TornFrame, &[0], JOURNALED, &[0], &[2]);
         assert_eq!(ledger.lost_verdicts, 2);
         assert_eq!(ledger.violations, ["block #1 was never emitted"]);
+    }
+
+    #[test]
+    fn a_block_both_journaled_and_emitted_twice_counts_once_per_extra_copy() {
+        let ledger =
+            account_emissions(&truth(), IoFault::Kill, &[0], &[0, 1, 1, 2], &[0, 1], &[1, 2]);
+        assert_eq!(ledger.duplicate_verdicts, 2);
+        assert_eq!(ledger.lost_verdicts, 0);
+        // A journal copy alone is a duplicate too.
+        let ledger = account_emissions(&truth(), IoFault::Kill, &[0], &[0, 1, 1, 2], &[0], &[1, 2]);
+        assert_eq!(ledger.duplicate_verdicts, 2);
+        assert!(ledger.violations.is_empty());
+    }
+
+    #[test]
+    fn a_block_neither_emitted_nor_journaled_is_lost_once() {
+        let ledger = account_emissions(&truth(), IoFault::TornFrame, &[0], &[0, 2], &[0], &[2]);
+        assert_eq!(ledger.lost_verdicts, 2);
+        assert_eq!(ledger.duplicate_verdicts, 0);
+        // Emitted once but missing from the journal is lost as well.
+        let ledger = account_emissions(&truth(), IoFault::TornFrame, &[0], &[0, 2], &[0], &[1, 2]);
+        assert_eq!(ledger.lost_verdicts, 2);
+        assert!(ledger.violations.is_empty());
     }
 
     #[test]

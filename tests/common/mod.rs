@@ -17,8 +17,7 @@ use std::path::PathBuf;
 use ethsim::TxRecord;
 use leishen::trace::TxProvenance;
 use leishen::{ChainView, DetectorConfig, Labels, LeiShen, ScanEngine, SeedCase};
-use leishen_scenarios::generator::{generate, GeneratorConfig};
-use leishen_scenarios::{run_all_attacks, ExecutedAttack, GeneratedTx, World};
+use leishen_scenarios::{ExecutedAttack, World};
 
 /// The executed Table I corpus: the world the attacks ran in, their
 /// execution handles, and the detector-facing label cloud.
@@ -34,8 +33,7 @@ pub struct AttackCorpus {
 impl AttackCorpus {
     /// Builds a fresh world and runs the full 22-attack corpus in it.
     pub fn build() -> Self {
-        let mut world = World::new();
-        let attacks = run_all_attacks(&mut world);
+        let (world, attacks) = leishen_bench::known_attack_world();
         assert_eq!(attacks.len(), 22, "the Table I corpus has 22 attacks");
         let labels = world.detector_labels();
         AttackCorpus { world, attacks, labels }
@@ -68,68 +66,8 @@ impl AttackCorpus {
 }
 
 /// The seed every deterministic suite uses unless it is explicitly
-/// sweeping seeds. Stamped into failure messages via
-/// [`WildCorpus::provenance`] so a CI log line is enough to reproduce.
+/// sweeping seeds.
 pub const DEFAULT_SEED: u64 = 42;
-
-/// The wild-corpus scale the integration suites run at (~550 benign txs
-/// plus the attack classes — enough to exercise the negatives).
-pub const WILD_SCALE: f64 = 0.002;
-
-/// The generated synthetic wild corpus (paper §VI-C): one seeded world
-/// plus every generated transaction, with the provenance needed to
-/// reproduce a failure from its log line.
-pub struct WildCorpus {
-    /// The simulated chain after generation.
-    pub world: World,
-    /// Every generated transaction with its ground-truth class.
-    pub corpus: Vec<GeneratedTx>,
-    /// Labels snapshotted from the world's protocol deployments.
-    pub labels: Labels,
-    /// The generator seed this corpus was built from.
-    pub seed: u64,
-    /// The generator scale this corpus was built at.
-    pub scale: f64,
-}
-
-impl WildCorpus {
-    /// The standard suite corpus: [`DEFAULT_SEED`] at [`WILD_SCALE`],
-    /// with attacks.
-    pub fn build() -> Self {
-        WildCorpus::with_seed(DEFAULT_SEED, WILD_SCALE)
-    }
-
-    /// A wild corpus from an explicit `(seed, scale)` — the same pair
-    /// [`WildCorpus::provenance`] prints on failure.
-    pub fn with_seed(seed: u64, scale: f64) -> Self {
-        let mut world = World::new();
-        let config = GeneratorConfig { seed, scale, with_attacks: true };
-        let corpus = generate(&mut world, &config);
-        let labels = world.detector_labels();
-        WildCorpus { world, corpus, labels, seed, scale }
-    }
-
-    /// `"wild corpus seed=42 scale=0.002"` — append this to assertion
-    /// messages so the failing corpus is reproducible from the log.
-    pub fn provenance(&self) -> String {
-        format!("wild corpus seed={} scale={}", self.seed, self.scale)
-    }
-
-    /// The detector's chain view over this corpus.
-    pub fn view(&self) -> ChainView<'_> {
-        self.world.view(&self.labels)
-    }
-
-    /// The replayed record of one generated transaction.
-    pub fn record(&self, gtx: &GeneratedTx) -> &TxRecord {
-        self.world.chain.replay(gtx.tx).expect("recorded")
-    }
-
-    /// All generated records in corpus order — the batch-scan input.
-    pub fn records(&self) -> Vec<&TxRecord> {
-        self.corpus.iter().map(|gtx| self.record(gtx)).collect()
-    }
-}
 
 /// The fuzz/chaos seed corpus (22 attacks + benign workloads + pool)
 /// under the paper configuration — the input every resilience and

@@ -2,79 +2,83 @@
 //! Tables I and IV).
 //!
 //! Every attack scenario carries its expected detection outcome for
-//! LeiShen, DeFiRanger and Explorer+LeiShen; this test executes all 22 on
-//! one world and checks every cell of Table IV, plus the Table I pattern
-//! assignments for the attacks LeiShen detects.
+//! LeiShen, DeFiRanger and Explorer+LeiShen. The suite executes all 22
+//! once, in one world, and checks the known-attack tally that `table1`,
+//! `table4` and `scorecard` print: every cell of Table IV, its totals,
+//! and the Table I pattern assignments of the attacks LeiShen detects.
 
+use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
+
+use leishen::flashloan::Provider;
+use leishen::patterns::PatternKind;
 use leishen::{DetectorConfig, LeiShen};
 use leishen_baselines::{DefiRanger, ExplorerLeiShen};
-use leishen_scenarios::{run_all_attacks, World};
+use leishen_bench::{known_attack_world, table4_tally, AttackFlags, Table4};
+use leishen_scenarios::{ExecutedAttack, World};
+
+/// The one world all 22 attacks executed in.
+fn corpus() -> &'static (World, Vec<ExecutedAttack>) {
+    static CORPUS: OnceLock<(World, Vec<ExecutedAttack>)> = OnceLock::new();
+    CORPUS.get_or_init(known_attack_world)
+}
+
+/// The known-attack tally over [`corpus`].
+fn tally() -> &'static [AttackFlags<'static>] {
+    static TALLY: OnceLock<Vec<AttackFlags<'static>>> = OnceLock::new();
+    TALLY.get_or_init(|| {
+        let (world, attacks) = corpus();
+        assert_eq!(attacks.len(), 22);
+        table4_tally(world, attacks)
+    })
+}
 
 #[test]
 fn table_iv_every_cell() {
-    let mut world = World::new();
-    let attacks = run_all_attacks(&mut world);
-    assert_eq!(attacks.len(), 22);
-
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let leishen = LeiShen::new(DetectorConfig::paper());
-    let ranger = DefiRanger::new();
-    let explorer = ExplorerLeiShen::new(DetectorConfig::paper());
-
     let mut failures = Vec::new();
-    for attack in &attacks {
-        let record = world.chain.replay(attack.tx).expect("recorded");
+    for t in tally() {
+        let spec = &t.attack.spec;
         assert!(
-            record.status.is_success(),
+            t.record.status.is_success(),
             "{} reverted: {:?}",
-            attack.spec.name,
-            record.status
+            spec.name,
+            t.record.status
         );
-
-        let analysis = leishen.analyze(record, &view);
-        if analysis.is_attack() != attack.spec.expect_leishen {
+        if t.leishen() != spec.expect_leishen {
             failures.push(format!(
                 "{}: LeiShen {} (expected {}); matches={:?}",
-                attack.spec.name,
-                analysis.is_attack(),
-                attack.spec.expect_leishen,
-                analysis.matches
+                spec.name,
+                t.leishen(),
+                spec.expect_leishen,
+                t.analysis.matches
             ));
         }
         // Table I: the detected patterns must include the paper's
         // assignment.
-        if attack.spec.expect_leishen {
-            for kind in attack.spec.patterns {
-                if !analysis.matches.iter().any(|m| m.kind == *kind) {
-                    failures.push(format!(
-                        "{}: missing expected pattern {kind}; found {:?}",
-                        attack.spec.name,
-                        analysis.matches.iter().map(|m| m.kind).collect::<Vec<_>>()
-                    ));
-                }
-            }
-        }
-
-        let dr = ranger.is_attack(record);
-        if dr != attack.spec.expect_defiranger {
+        if !t.patterns_match() {
             failures.push(format!(
-                "{}: DeFiRanger {} (expected {}): {:?}",
-                attack.spec.name,
-                dr,
-                attack.spec.expect_defiranger,
-                ranger.detect(record)
+                "{}: missing expected patterns {:?}; found {:?}",
+                spec.name,
+                spec.patterns,
+                t.analysis.matches.iter().map(|m| m.kind).collect::<Vec<_>>()
             ));
         }
-
-        let ex = explorer.is_attack(record);
-        if ex != attack.spec.expect_explorer {
+        if t.defiranger != spec.expect_defiranger {
+            failures.push(format!(
+                "{}: DeFiRanger {} (expected {}): {:?}",
+                spec.name,
+                t.defiranger,
+                spec.expect_defiranger,
+                DefiRanger::new().detect(t.record)
+            ));
+        }
+        if t.explorer != spec.expect_explorer {
             failures.push(format!(
                 "{}: Explorer+LeiShen {} (expected {}): {:?}",
-                attack.spec.name,
-                ex,
-                attack.spec.expect_explorer,
-                explorer.detect(record)
+                spec.name,
+                t.explorer,
+                spec.expect_explorer,
+                ExplorerLeiShen::new(DetectorConfig::paper()).detect(t.record)
             ));
         }
     }
@@ -83,33 +87,15 @@ fn table_iv_every_cell() {
 
 #[test]
 fn table_iv_totals() {
-    let mut world = World::new();
-    let attacks = run_all_attacks(&mut world);
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let leishen = LeiShen::new(DetectorConfig::paper());
-    let ranger = DefiRanger::new();
-    let explorer = ExplorerLeiShen::new(DetectorConfig::paper());
-
-    let mut ls = 0;
-    let mut dr = 0;
-    let mut ex = 0;
-    for attack in &attacks {
-        let record = world.chain.replay(attack.tx).expect("recorded");
-        if leishen.analyze(record, &view).is_attack() {
-            ls += 1;
-        }
-        if ranger.is_attack(record) {
-            dr += 1;
-        }
-        if explorer.is_attack(record) {
-            ex += 1;
-        }
-    }
-    assert_eq!(ls, 15, "LeiShen detects 15 known attacks");
-    assert_eq!(dr, 9, "DeFiRanger detects 9 known attacks");
-    assert_eq!(ex, 4, "Explorer+LeiShen detects 4 known attacks");
-    assert_eq!(ls - dr, 6, "paper: LeiShen detects six more than DeFiRanger");
+    let totals = Table4::of(tally());
+    assert_eq!(totals.leishen, 15, "LeiShen detects 15 known attacks");
+    assert_eq!(totals.defiranger, 9, "DeFiRanger detects 9 known attacks");
+    assert_eq!(totals.explorer, 4, "Explorer+LeiShen detects 4 known attacks");
+    assert_eq!(
+        totals.leishen - totals.defiranger,
+        6,
+        "paper: LeiShen detects six more than DeFiRanger"
+    );
 }
 
 /// The experimental KDP pattern (§VII future-work direction, off by
@@ -118,22 +104,17 @@ fn table_iv_totals() {
 /// known-attack verdict.
 #[test]
 fn experimental_kdp_covers_my_farm_pet_only() {
-    use leishen::patterns::PatternKind;
-    let mut world = World::new();
-    let attacks = run_all_attacks(&mut world);
+    let (world, _) = corpus();
     let labels = world.detector_labels();
     let view = world.view(&labels);
-    let strict = LeiShen::new(DetectorConfig::paper());
     let kdp = LeiShen::new(DetectorConfig {
         experimental_kdp: true,
         ..DetectorConfig::paper()
     });
-    for attack in &attacks {
-        let record = world.chain.replay(attack.tx).expect("recorded");
-        let before = strict.analyze(record, &view).is_attack();
-        let analysis = kdp.analyze(record, &view);
-        if attack.spec.name == "MY FARM PET" {
-            assert!(!before, "uncovered by the paper's patterns");
+    for t in tally() {
+        let analysis = kdp.analyze(t.record, &view);
+        if t.attack.spec.name == "MY FARM PET" {
+            assert!(!t.leishen(), "uncovered by the paper's patterns");
             assert!(
                 analysis.matches.iter().any(|m| m.kind == PatternKind::Kdp),
                 "KDP classifies the dump-and-rebuy: {:?}",
@@ -141,10 +122,10 @@ fn experimental_kdp_covers_my_farm_pet_only() {
             );
         } else {
             assert_eq!(
-                before,
+                t.leishen(),
                 analysis.is_attack(),
                 "{}: KDP must not change the verdict",
-                attack.spec.name
+                t.attack.spec.name
             );
         }
     }
@@ -155,20 +136,16 @@ fn experimental_kdp_covers_my_farm_pet_only() {
 /// providers, and identification names the right one.
 #[test]
 fn every_attack_borrows_from_a_monitored_provider() {
-    use leishen::flashloan::Provider;
-    let mut world = World::new();
-    let attacks = run_all_attacks(&mut world);
-    let mut by_provider = std::collections::HashMap::new();
-    for attack in &attacks {
-        let record = world.chain.replay(attack.tx).expect("recorded");
-        let loans = leishen::identify_flash_loans(record);
-        assert_eq!(loans.len(), 1, "{}: one loan", attack.spec.name);
+    let mut by_provider = HashMap::new();
+    for t in tally() {
+        let loans = &t.analysis.flash_loans;
+        assert_eq!(loans.len(), 1, "{}: one loan", t.attack.spec.name);
         *by_provider.entry(loans[0].provider).or_insert(0usize) += 1;
         // The borrower is always the attack contract.
         assert_eq!(
-            loans[0].borrower, attack.contract,
+            loans[0].borrower, t.attack.contract,
             "{}: borrower is the attack contract",
-            attack.spec.name
+            t.attack.spec.name
         );
     }
     // The flagship scripts use dYdX (bZx-1/2, Balancer, Saddle), Harvest
@@ -180,37 +157,33 @@ fn every_attack_borrows_from_a_monitored_provider() {
 
 #[test]
 fn all_attacks_are_profitable_flash_loan_txs() {
-    let mut world = World::new();
-    let attacks = run_all_attacks(&mut world);
+    let (world, _) = corpus();
     let labels = world.detector_labels();
     let view = world.view(&labels);
-    for attack in &attacks {
-        let record = world.chain.replay(attack.tx).expect("recorded");
-        let loans = leishen::identify_flash_loans(record);
+    for t in tally() {
+        let attack = t.attack;
         assert!(
-            !loans.is_empty(),
+            !t.analysis.flash_loans.is_empty(),
             "{}: no flash loan identified",
             attack.spec.name
         );
         // Profit: borrower-cluster net flows valued at attack-day prices.
-        let analysis = LeiShen::new(DetectorConfig::paper()).analyze(record, &view);
-        let mut accounts = std::collections::HashSet::new();
+        let mut accounts = HashSet::new();
         accounts.insert(attack.attacker);
         accounts.insert(attack.contract);
         // include mid-attack helper contracts (same creation root)
-        for t in &record.trace.transfers {
-            for addr in [t.sender, t.receiver] {
+        for tr in &t.record.trace.transfers {
+            for addr in [tr.sender, tr.receiver] {
                 if !addr.is_zero() && view.creations().root(addr) == attack.attacker {
                     accounts.insert(addr);
                 }
             }
         }
-        let profit = leishen::profit_of(&record.trace.transfers, &accounts, &world.prices);
+        let profit = leishen::profit_of(&t.record.trace.transfers, &accounts, &world.prices);
         assert!(
             profit > 0.0,
             "{}: expected positive profit, got ${profit:.0}",
             attack.spec.name
         );
-        let _ = analysis;
     }
 }

@@ -9,22 +9,17 @@
 //!   thinned — counters still exact — for a sampled sink.
 
 use leishen::tagging::tag_of;
-use leishen::{
-    AnalysisScratch, DetectorConfig, LeiShen, RecordingSink, ScanEngine, TagCache, STAGES,
-};
-use leishen_scenarios::{run_all_attacks, World};
+use leishen::{AnalysisScratch, RecordingSink, ScanEngine, TagCache, STAGES};
+
+mod common;
+use common::AttackCorpus;
 
 #[test]
 fn metered_scan_is_identical_to_unmetered_scan() {
-    let mut world = World::new();
-    let attacks = run_all_attacks(&mut world);
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let detector = LeiShen::new(DetectorConfig::paper());
-    let records: Vec<_> = attacks
-        .iter()
-        .map(|a| world.chain.replay(a.tx).expect("recorded"))
-        .collect();
+    let corpus = AttackCorpus::build();
+    let view = corpus.view();
+    let detector = common::paper_detector();
+    let records = corpus.sorted_records();
 
     let engine = ScanEngine::new(4).allow_oversubscription();
 
@@ -39,15 +34,10 @@ fn metered_scan_is_identical_to_unmetered_scan() {
 
 #[test]
 fn parallel_counters_equal_serial_reference() {
-    let mut world = World::new();
-    let attacks = run_all_attacks(&mut world);
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let detector = LeiShen::new(DetectorConfig::paper());
-    let records: Vec<_> = attacks
-        .iter()
-        .map(|a| world.chain.replay(a.tx).expect("recorded"))
-        .collect();
+    let corpus = AttackCorpus::build();
+    let view = corpus.view();
+    let detector = common::paper_detector();
+    let records = corpus.sorted_records();
 
     // Serial reference: one worker, one scratch, the uncached resolver.
     let serial_sink = RecordingSink::new();
@@ -86,15 +76,10 @@ fn parallel_counters_equal_serial_reference() {
 
 #[test]
 fn sampled_sink_keeps_counters_exact() {
-    let mut world = World::new();
-    let attacks = run_all_attacks(&mut world);
-    let labels = world.detector_labels();
-    let view = world.view(&labels);
-    let detector = LeiShen::new(DetectorConfig::paper());
-    let records: Vec<_> = attacks
-        .iter()
-        .map(|a| world.chain.replay(a.tx).expect("recorded"))
-        .collect();
+    let corpus = AttackCorpus::build();
+    let view = corpus.view();
+    let detector = common::paper_detector();
+    let records = corpus.sorted_records();
     let engine = ScanEngine::new(4).allow_oversubscription();
 
     let exact = RecordingSink::new();

@@ -1,131 +1,82 @@
-//! Integration: the synthetic wild scan (paper §VI-C, Table V) and the
-//! §VI-C aggregator heuristic.
+//! Integration: the synthetic wild corpus (paper §VI–§VII).
 //!
-//! Generates the labelled corpus, runs LeiShen over every transaction, and
-//! checks the paper's headline numbers hold *by measurement*, not by
-//! construction: 180 detections, 142 true attacks, 78.9% precision;
-//! KRP 21/0, SBS 68/11, MBS 60/47; MBS precision rising to 80% under the
-//! aggregator-initiator heuristic.
+//! One [`WildStudy`] of seed 42 at scale 0.002 (~550 benign txs plus the
+//! attack classes) serves every test, and the tests assert on the same
+//! study functions the paper bins and `scorecard` print, so the headline
+//! numbers hold *by measurement*, not by construction: 180 detections,
+//! 142 true attacks, 78.9% precision; KRP 21/0, SBS 68/11, MBS 60/47;
+//! MBS precision rising to 80% under the §VI-C aggregator-initiator
+//! heuristic; Table VI's top rows; Table VII's extremes; Fig. 8; and a
+//! golden snapshot of every other number EXPERIMENTS.md quotes as
+//! measured. Headline assertions stamp the study's provenance into their
+//! message so a CI failure reproduces from the log line alone.
 
-use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::sync::OnceLock;
 
-use leishen::heuristics::initiated_by_aggregator;
+use ethsim::calendar::MonthIndex;
 use leishen::patterns::PatternKind;
 use leishen::{DetectorConfig, LeiShen, ScanEngine, TagCache};
-use leishen_scenarios::generator::AGGREGATOR_APPS;
+use leishen_bench::WildStudy;
 
 mod common;
-use common::WildCorpus;
 
-/// The shared suite corpus: `WildCorpus::build()` is seed 42 at scale
-/// 0.002 (~550 benign txs — enough to exercise the negatives), and
-/// every headline assertion stamps `scan.provenance()` into its message
-/// so a CI failure reproduces from the log line alone.
-fn run_scan() -> WildCorpus {
-    WildCorpus::build()
+/// The suite's one study.
+fn study() -> &'static WildStudy {
+    static STUDY: OnceLock<WildStudy> = OnceLock::new();
+    STUDY.get_or_init(|| WildStudy::new(common::DEFAULT_SEED, 0.002))
 }
 
 #[test]
 fn table_v_counts_and_precision() {
-    let scan = run_scan();
-    let view = scan.view();
-    let detector = LeiShen::new(DetectorConfig::paper());
-
-    let mut per_pattern: HashMap<PatternKind, (usize, usize)> = HashMap::new(); // (tp, fp)
-    let mut detected = 0usize;
-    let mut true_positives = 0usize;
+    let study = study();
+    // Each transaction matches exactly the patterns its class expects.
     let mut mismatches = Vec::new();
-
-    for gtx in &scan.corpus {
-        let record = scan.record(gtx);
-        let analysis = detector.analyze(record, &view);
+    for (gtx, analysis) in study.corpus.iter().zip(&study.analyses) {
         let mut kinds: Vec<PatternKind> = analysis.matches.iter().map(|m| m.kind).collect();
         kinds.sort();
         kinds.dedup();
-
         let mut expected: Vec<PatternKind> = gtx.class.expected_detections().to_vec();
         expected.sort();
         if kinds != expected {
-            mismatches.push(format!(
-                "{:?}: detected {kinds:?}, expected {expected:?}",
-                gtx.class
-            ));
-            continue;
-        }
-        if !kinds.is_empty() {
-            detected += 1;
-            if gtx.class.is_attack() {
-                true_positives += 1;
-            }
-            for kind in kinds {
-                let slot = per_pattern.entry(kind).or_insert((0, 0));
-                if gtx.class.pattern_is_true(kind) {
-                    slot.0 += 1;
-                } else {
-                    slot.1 += 1;
-                }
-            }
+            mismatches.push(format!("{:?}: detected {kinds:?}, expected {expected:?}", gtx.class));
         }
     }
     assert!(
         mismatches.is_empty(),
         "{} mismatches ({}):\n{}",
         mismatches.len(),
-        scan.provenance(),
+        study.provenance(),
         mismatches.join("\n")
     );
 
-    // Table V.
-    assert_eq!(detected, 180, "180 transactions detected ({})", scan.provenance());
-    assert_eq!(true_positives, 142, "142 true attacks ({})", scan.provenance());
-    let precision = true_positives as f64 / detected as f64;
+    let table = study.table5(false);
+    assert_eq!(table.detected, 180, "180 transactions detected ({})", study.provenance());
+    assert_eq!(table.tp, 142, "142 true attacks ({})", study.provenance());
     assert!(
-        (precision - 0.789).abs() < 0.003,
+        (table.precision() - 78.9).abs() < 0.3,
         "overall precision ≈ 78.9%, got {:.1}%",
-        precision * 100.0
+        table.precision()
     );
-    let (krp_tp, krp_fp) = per_pattern[&PatternKind::Krp];
-    let (sbs_tp, sbs_fp) = per_pattern[&PatternKind::Sbs];
-    let (mbs_tp, mbs_fp) = per_pattern[&PatternKind::Mbs];
-    assert_eq!((krp_tp, krp_fp), (21, 0), "KRP 21/21, 100%");
-    assert_eq!((sbs_tp, sbs_fp), (68, 11), "SBS 68 TP / 11 FP (86.1%)");
-    assert_eq!((mbs_tp, mbs_fp), (60, 47), "MBS 60 TP / 47 FP (56.1%)");
-    assert!((sbs_tp as f64 / 79.0 - 0.861).abs() < 0.005);
-    assert!((mbs_tp as f64 / 107.0 - 0.561).abs() < 0.005);
+    assert_eq!(table.pattern(PatternKind::Krp), (21, 0), "KRP 21/21, 100%");
+    assert_eq!(table.pattern(PatternKind::Sbs), (68, 11), "SBS 68 TP / 11 FP (86.1%)");
+    assert_eq!(table.pattern(PatternKind::Mbs), (60, 47), "MBS 60 TP / 47 FP (56.1%)");
+    assert!((table.pattern_precision(PatternKind::Sbs) - 86.1).abs() < 0.5);
+    assert!((table.pattern_precision(PatternKind::Mbs) - 56.1).abs() < 0.5);
 }
 
 #[test]
 fn aggregator_heuristic_lifts_mbs_precision_to_80() {
-    let scan = run_scan();
-    let view = scan.view();
-    let detector = LeiShen::new(DetectorConfig::paper());
-
-    let mut mbs_tp = 0usize;
-    let mut mbs_fp = 0usize;
-    for gtx in &scan.corpus {
-        let record = scan.record(gtx);
-        let analysis = detector.analyze(record, &view);
-        if !analysis.matches.iter().any(|m| m.kind == PatternKind::Mbs) {
-            continue;
-        }
-        // Heuristic: drop transactions initiated from yield aggregators.
-        if initiated_by_aggregator(record.from, AGGREGATOR_APPS, view.labels(), view.creations())
-        {
-            continue;
-        }
-        if gtx.class.pattern_is_true(PatternKind::Mbs) {
-            mbs_tp += 1;
-        } else {
-            mbs_fp += 1;
-        }
-    }
-    assert_eq!(mbs_tp, 60, "heuristic never drops an attacker-initiated MBS ({})", scan.provenance());
+    let study = study();
+    let table = study.table5(true);
+    let (mbs_tp, mbs_fp) = table.pattern(PatternKind::Mbs);
+    let provenance = study.provenance();
+    assert_eq!(mbs_tp, 60, "heuristic never drops an attacker-initiated MBS ({provenance})");
     assert_eq!(mbs_fp, 15, "32 aggregator-initiated FPs dropped");
-    let precision = mbs_tp as f64 / (mbs_tp + mbs_fp) as f64;
+    let precision = table.pattern_precision(PatternKind::Mbs);
     assert!(
-        (precision - 0.80).abs() < 0.005,
-        "MBS precision rises to 80%, got {:.1}%",
-        precision * 100.0
+        (precision - 80.0).abs() < 0.5,
+        "MBS precision rises to 80%, got {precision:.1}%"
     );
 }
 
@@ -133,22 +84,13 @@ fn aggregator_heuristic_lifts_mbs_precision_to_80() {
 /// scanning the wild corpus with 4 workers (oversubscribed, so the
 /// threaded path runs even on single-core CI machines) yields an
 /// `Analysis` list byte-identical — same Debug rendering, element by
-/// element — to the plain `analyze` loop.
+/// element — to the study's plain `analyze` loop.
 #[test]
 fn parallel_scan_is_byte_identical_to_serial_loop() {
-    let scan = run_scan();
-    let view = scan.view();
+    let study = study();
+    let view = study.view();
     let detector = LeiShen::new(DetectorConfig::paper());
-    let records: Vec<_> = scan
-        .corpus
-        .iter()
-        .map(|gtx| scan.record(gtx))
-        .collect();
-
-    let serial: Vec<String> = records
-        .iter()
-        .map(|record| format!("{:?}", detector.analyze(record, &view)))
-        .collect();
+    let records = study.records();
 
     // Small chunks force many work items, so all 4 workers actually
     // interleave instead of one worker draining the queue.
@@ -156,12 +98,12 @@ fn parallel_scan_is_byte_identical_to_serial_loop() {
     let cache = TagCache::new();
     let parallel = engine.scan_with_cache(&detector, &records, &view, &cache);
 
-    assert_eq!(parallel.len(), serial.len());
-    for (i, (got, want)) in parallel.iter().zip(&serial).enumerate() {
-        assert_eq!(&format!("{got:?}"), want, "analysis {i} differs");
+    assert_eq!(parallel.len(), study.analyses.len());
+    for (i, (got, want)) in parallel.iter().zip(&study.analyses).enumerate() {
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "analysis {i} differs");
     }
     let attacks = parallel.iter().filter(|a| a.is_attack()).count();
-    assert_eq!(attacks, 180, "same detection set as Table V ({})", scan.provenance());
+    assert_eq!(attacks, 180, "same detection set as Table V ({})", study.provenance());
     assert!(
         cache.hits() > cache.misses(),
         "corpus scan should mostly hit the shared tag cache ({} hits / {} misses)",
@@ -172,40 +114,49 @@ fn parallel_scan_is_byte_identical_to_serial_loop() {
 
 #[test]
 fn flash_loans_identified_on_every_generated_tx() {
-    let scan = run_scan();
-    for gtx in &scan.corpus {
-        let record = scan.record(gtx);
+    let study = study();
+    for (gtx, analysis) in study.corpus.iter().zip(&study.analyses) {
         assert!(
-            !leishen::identify_flash_loans(record).is_empty(),
+            !analysis.flash_loans.is_empty(),
             "{:?}: wild corpus txs are all flash-loan txs ({})",
             gtx.class,
-            scan.provenance()
+            study.provenance()
         );
     }
 }
 
 #[test]
 fn fig8_shape_first_attack_and_yearly_averages() {
-    let scan = run_scan();
-    let mut monthly: HashMap<i32, usize> = HashMap::new();
-    for gtx in scan.corpus.iter().filter(|t| t.class.is_attack() && !t.known) {
-        *monthly.entry(gtx.month.0).or_insert(0) += 1;
-    }
-    let first = monthly.keys().min().copied().expect("some attacks");
-    // first unknown attack: June 2020
-    assert_eq!(first, 2020 * 12 + 5, "first unknown attack in June 2020");
-    let y2020: usize = monthly
+    let fig8 = study().fig8();
+    let first = fig8.monthly.keys().next().copied();
+    assert_eq!(first, Some(MonthIndex(2020 * 12 + 5)), "first unknown attack in June 2020");
+    assert_eq!(fig8.year(2020), 46);
+    assert_eq!(fig8.year(2021), 52);
+    assert_eq!(fig8.total(), 109, "every unknown attack detected");
+}
+
+/// Table VI's rows at seed 42, below the paper's top three too: apps
+/// tied on attacks sort by name, so the order is the same every run.
+#[test]
+fn table_vi_top_five_rows() {
+    let rows = study().table6();
+    let top: Vec<_> = rows
         .iter()
-        .filter(|(m, _)| **m / 12 == 2020)
-        .map(|(_, n)| n)
-        .sum();
-    let y2021: usize = monthly
-        .iter()
-        .filter(|(m, _)| **m / 12 == 2021)
-        .map(|(_, n)| n)
-        .sum();
-    assert_eq!(y2020, 46);
-    assert_eq!(y2021, 52);
+        .take(5)
+        .map(|r| (r.app, r.attacks, r.attackers, r.contracts, r.assets))
+        .collect();
+    assert_eq!(
+        top,
+        [
+            ("Balancer", 31, 5, 14, 13),
+            ("Uniswap", 16, 6, 8, 5),
+            ("Yearn", 11, 1, 1, 1),
+            ("Alpha Finance", 4, 2, 3, 2),
+            ("BT.Finance", 4, 2, 2, 2),
+        ],
+        "{}",
+        study().provenance()
+    );
 }
 
 /// §VII: relaxing the thresholds detects no additional true attacks in
@@ -213,46 +164,22 @@ fn fig8_shape_first_attack_and_yearly_averages() {
 /// positives — precision drops, exactly the paper's warning.
 #[test]
 fn relaxed_thresholds_trade_precision_for_nothing() {
-    let scan = run_scan();
-    let view = scan.view();
-    let strict = LeiShen::new(DetectorConfig::paper());
-    let relaxed = LeiShen::new(DetectorConfig::relaxed());
-
-    let mut strict_counts = (0usize, 0usize); // (detected, tp)
-    let mut relaxed_counts = (0usize, 0usize);
-    for gtx in &scan.corpus {
-        let record = scan.record(gtx);
-        if strict.analyze(record, &view).is_attack() {
-            strict_counts.0 += 1;
-            strict_counts.1 += gtx.class.is_attack() as usize;
-        }
-        if relaxed.analyze(record, &view).is_attack() {
-            relaxed_counts.0 += 1;
-            relaxed_counts.1 += gtx.class.is_attack() as usize;
-        }
-    }
-    assert!(relaxed_counts.0 > strict_counts.0, "more detections");
-    assert_eq!(
-        relaxed_counts.1, strict_counts.1,
-        "no new true attacks in this corpus"
-    );
-    let p_strict = strict_counts.1 as f64 / strict_counts.0 as f64;
-    let p_relaxed = relaxed_counts.1 as f64 / relaxed_counts.0 as f64;
-    assert!(p_relaxed < p_strict, "precision drops: {p_strict} -> {p_relaxed}");
+    let study = study();
+    let strict = study.sweep(DetectorConfig::paper());
+    let relaxed = study.sweep(DetectorConfig::relaxed());
+    assert!(relaxed.detected > strict.detected, "more detections");
+    assert_eq!(relaxed.tp, strict.tp, "no new true attacks in this corpus");
+    let (p_strict, p_relaxed) = (strict.precision(), relaxed.precision());
+    assert!(p_relaxed < p_strict, "precision drops: {p_strict}% -> {p_relaxed}%");
 }
 
 #[test]
 fn table_vii_profits_are_measured_not_asserted() {
-    let scan = run_scan();
-    let view = scan.view();
-    let detector = LeiShen::new(DetectorConfig::paper());
-    let mut measured = Vec::new();
-    for gtx in scan.corpus.iter().filter(|t| t.class.is_attack()) {
-        let record = scan.record(gtx);
-        let report = detector
-            .detect(record, &view, Some(&scan.world.prices))
-            .expect("attack detected");
-        let profit = report.profit_usd.expect("prices supplied");
+    let study = study();
+    let profits = study.attack_profits();
+    let attacks = study.corpus.iter().filter(|t| t.class.is_attack()).count();
+    assert_eq!(profits.len(), attacks, "every attack detected ({})", study.provenance());
+    for (gtx, profit) in &profits {
         // measured profit within 1% (or $5) of the generator's target
         let target = gtx.profit_usd;
         let tol = (target * 0.01).max(5.0);
@@ -261,13 +188,54 @@ fn table_vii_profits_are_measured_not_asserted() {
             "{:?}: measured ${profit:.0} vs target ${target:.0}",
             gtx.class
         );
-        measured.push(profit);
     }
-    let min = measured.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = measured.iter().cloned().fold(0.0f64, f64::max);
+    let [_, (_, _, min), (_, _, max), ..] = study.table7().rows();
     assert!((min - 23.0).abs() < 5.0, "paper minimum $23, got {min:.0}");
     assert!(
         (max - 6_102_198.0).abs() / 6_102_198.0 < 0.01,
         "paper maximum $6,102,198, got {max:.0}"
+    );
+}
+
+/// Every number EXPERIMENTS.md quotes as measured at seed 42 and scale
+/// 0.002 that no test above pins, rendered as the bins print it. Any
+/// move fails here; regenerate with
+/// `UPDATE_GOLDEN=1 cargo test --test wild_scan`, review the diff, and
+/// update EXPERIMENTS.md to match.
+#[test]
+fn measured_numbers_match_the_golden_snapshot() {
+    let study = study();
+    let mut out = String::new();
+    let fig1 = study.fig1();
+    let loans = |provider: usize| fig1.values().map(|week| week[provider]).sum::<usize>();
+    let (uni, dydx, aave) = (loans(0), loans(1), loans(2));
+    let _ = writeln!(out, "Fig. 1 flash loans: Uniswap {uni} dYdX {dydx} AAVE {aave}");
+    for (label, y, p) in study.table7().rows() {
+        let _ = writeln!(out, "Table VII {label}: {y:.3}% ${p:.0}");
+    }
+    let _ = writeln!(out, "§VI-D bands <1% 1-3% 3-100% >100%: {:?}", study.volatility_bands());
+    for b in study.bursts() {
+        let (who, n, minutes) = (b.initiator.short(), b.len(), b.span_secs / 60);
+        let _ = writeln!(out, "§VI-D1 burst {who}: {n} attacks in {minutes} minutes");
+    }
+    for (label, t) in study.ablation() {
+        let (detected, tp, fp, precision) = (t.detected, t.tp, t.fp(), t.precision());
+        let _ = writeln!(out, "§VII {label}: {detected} / {tp} / {fp} / {precision:.1}%");
+    }
+    for (month, n) in &study.fig8().monthly {
+        let _ = writeln!(out, "Fig. 8 {}: {n}", month.label());
+    }
+
+    let path = common::tests_dir("golden").join("wild_seed42_scale0.002.txt");
+    if common::update_golden() {
+        std::fs::write(&path, &out).expect("write snapshot");
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_default();
+    assert!(
+        golden == out,
+        "{} moved from {}; if intentional, regenerate with UPDATE_GOLDEN=1 and update \
+         EXPERIMENTS.md\n--- golden\n{golden}--- measured\n{out}",
+        study.provenance(),
+        path.display()
     );
 }
